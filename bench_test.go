@@ -306,10 +306,10 @@ func maxflowAlgoBench(algo maxflow.Algorithm) func(*testing.B) {
 	}
 }
 
-// BenchmarkMaxflowAlgorithms compares Dinic against HIPR-style
-// push-relabel on the pipeline's workload.
+// BenchmarkMaxflowAlgorithms compares Dinic against the fixed-root sweep
+// solver on the pipeline's workload.
 func BenchmarkMaxflowAlgorithms(b *testing.B) {
-	for _, algo := range []maxflow.Algorithm{maxflow.Dinic, maxflow.PushRelabel} {
+	for _, algo := range []maxflow.Algorithm{maxflow.Dinic, maxflow.HaoOrlin} {
 		b.Run(algo.String(), maxflowAlgoBench(algo))
 	}
 }
@@ -320,14 +320,15 @@ func BenchmarkMaxflowAlgorithms(b *testing.B) {
 // graphs; here it is asserted on every run).
 func BenchmarkConnectivitySampling(b *testing.B) {
 	g := benchGraph(250, 18, 9)
-	full := connectivity.MustNewAnalyzer(connectivity.Options{SampleFraction: 1.0, MinOnly: true})
-	want := full.Analyze(g).Min
+	eng := connectivity.MustNewEngine(connectivity.EngineOptions{})
+	eng.Bind(g)
+	want := eng.Analyze(connectivity.Query{SampleFraction: 1.0, MinOnly: true}).Min
 	for _, c := range []float64{1.0, 0.1, 0.02} {
 		b.Run(fmt.Sprintf("c=%.2f", c), func(b *testing.B) {
-			a := connectivity.MustNewAnalyzer(connectivity.Options{SampleFraction: c, MinOnly: true})
 			var got int
 			for i := 0; i < b.N; i++ {
-				got = a.Analyze(g).Min
+				eng.Bind(g)
+				got = eng.Analyze(connectivity.Query{SampleFraction: c, MinOnly: true}).Min
 			}
 			if got != want {
 				b.Fatalf("sampled min %d != full min %d", got, want)
@@ -345,7 +346,7 @@ func BenchmarkUndirectedShortcut(b *testing.B) {
 		var got int
 		for i := 0; i < b.N; i++ {
 			var err error
-			got, err = connectivity.UndirectedMin(g, maxflow.Dinic)
+			got, err = connectivity.UndirectedMin(g)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -353,10 +354,11 @@ func BenchmarkUndirectedShortcut(b *testing.B) {
 		b.ReportMetric(float64(got), "kappa")
 	})
 	b.Run("directed-sampled", func(b *testing.B) {
-		a := connectivity.MustNewAnalyzer(connectivity.Options{SampleFraction: 0.02, MinOnly: true})
+		eng := connectivity.MustNewEngine(connectivity.EngineOptions{})
 		var got int
 		for i := 0; i < b.N; i++ {
-			got = a.Analyze(g).Min
+			eng.Bind(g)
+			got = eng.Analyze(connectivity.Query{SampleFraction: 0.02, MinOnly: true}).Min
 		}
 		b.ReportMetric(float64(got), "kappa")
 	})
@@ -368,10 +370,12 @@ func BenchmarkUndirectedShortcut(b *testing.B) {
 // of the maximum flows. Reports the fraction of graphs where it matched.
 func BenchmarkHeuristicValidation(b *testing.B) {
 	matched, total := 0, 0
+	eng := connectivity.MustNewEngine(connectivity.EngineOptions{})
 	for i := 0; i < b.N; i++ {
 		g := benchGraph(150+i%3*50, 12+i%2*6, int64(100+i))
-		full := connectivity.MustNewAnalyzer(connectivity.Options{SampleFraction: 1.0, MinOnly: true}).Analyze(g).Min
-		sampled := connectivity.MustNewAnalyzer(connectivity.Options{SampleFraction: 0.02, MinOnly: true}).Analyze(g).Min
+		eng.Bind(g)
+		full := eng.Analyze(connectivity.Query{SampleFraction: 1.0, MinOnly: true}).Min
+		sampled := eng.Analyze(connectivity.Query{SampleFraction: 0.02, MinOnly: true}).Min
 		total++
 		if full == sampled {
 			matched++
@@ -391,16 +395,17 @@ func BenchmarkEvenTransform(b *testing.B) {
 
 // BenchmarkSnapshotAnalysis times one full snapshot analysis (capture
 // excluded) at the small paper size, the unit of work the paper fanned
-// out to its cluster. The analyzer is engine-backed, so iterations after
-// the first reuse the solver pool and Even-transform buffers — the
+// out to its cluster. One engine is rebound per iteration, so iterations
+// after the first reuse the solver pool and Even-transform buffers — the
 // steady state of the per-snapshot hot path.
 func BenchmarkSnapshotAnalysis(b *testing.B) {
 	g := benchGraph(250, 20, 12)
-	a := connectivity.MustNewAnalyzer(connectivity.Options{SampleFraction: 0.02, MinOnly: true})
+	eng := connectivity.MustNewEngine(connectivity.EngineOptions{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Analyze(g)
+		eng.Bind(g)
+		eng.Analyze(connectivity.Query{SampleFraction: 0.02, MinOnly: true})
 	}
 }
 
@@ -455,16 +460,17 @@ func churnSequence(n, deg, steps, changes int, seed int64) ([]*graph.Digraph, []
 
 // churnSequenceBench returns the benchmark body for one engine-binding
 // mode over the adjacent-snapshot workload. "rebind" is the incremental
-// path (edge deltas patched in place); "bind" rebuilds the binding per
-// snapshot; the algo selects the sweep solver. The bind-pushrelabel
-// variant is PR 3's per-snapshot rebinding path — the baseline the
-// adjacent-snapshot reanalysis speedup is measured against.
+// path (edge deltas patched in place through RebindSlots, every vertex
+// live in identity order); "bind" rebuilds the binding per snapshot; the
+// algo selects the sweep solver.
 func churnSequenceBench(rebind bool, algo maxflow.Algorithm) func(*testing.B) {
 	return func(b *testing.B) {
 		graphs, deltas := churnSequence(250, 20, 8, 40, 13)
-		eng := connectivity.MustNewEngine(connectivity.EngineOptions{
-			Algorithm: algo, ExactAlgorithm: algo,
-		})
+		order := make([]int, graphs[0].N())
+		for i := range order {
+			order[i] = i
+		}
+		eng := connectivity.MustNewEngine(connectivity.EngineOptions{Algorithm: algo})
 		eng.Bind(graphs[0])
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -472,7 +478,7 @@ func churnSequenceBench(rebind bool, algo maxflow.Algorithm) func(*testing.B) {
 			for j := range graphs {
 				g := graphs[(j+1)%len(graphs)]
 				if rebind {
-					eng.Rebind(g, deltas[j])
+					eng.RebindSlots(g, deltas[j], order)
 				} else {
 					eng.Bind(g)
 				}
@@ -581,9 +587,7 @@ func memberChurnSequenceBench(rebind bool, algo maxflow.Algorithm) func(*testing
 				b.Fatalf("slot count drifted: %d != %d", graphs[i].N(), graphs[0].N())
 			}
 		}
-		eng := connectivity.MustNewEngine(connectivity.EngineOptions{
-			Algorithm: algo, ExactAlgorithm: algo,
-		})
+		eng := connectivity.MustNewEngine(connectivity.EngineOptions{Algorithm: algo})
 		binder := connectivity.NewIncrementalBinder(eng)
 		binder.BindNextSlots(graphs[0], orders[0])
 		b.ReportAllocs()
@@ -611,9 +615,8 @@ func memberChurnSequenceBench(rebind bool, algo maxflow.Algorithm) func(*testing
 // of same-membership snapshot graphs differing by ~40 routing-table
 // edges, analyzed with the fused Min+Avg sweep. rebind-haoorlin is the
 // incremental path this repo ships (delta patching + the fixed-root
-// sweep solver); bind-haoorlin isolates the rebinding overhead;
-// bind-pushrelabel is the previous revision's per-snapshot rebinding
-// baseline. The members-* variants run the same analysis over a
+// sweep solver); bind-haoorlin isolates the rebinding overhead. The
+// members-* variants run the same analysis over a
 // MEMBERSHIP-churn cycle (one leave + one join + edge churn per step,
 // slots recycled): members-rebind-haoorlin is the stable-slot
 // incremental path, members-bind-haoorlin the full-bind fallback it
@@ -621,10 +624,8 @@ func memberChurnSequenceBench(rebind bool, algo maxflow.Algorithm) func(*testing
 func BenchmarkChurnSequence(b *testing.B) {
 	b.Run("rebind-haoorlin", churnSequenceBench(true, maxflow.HaoOrlin))
 	b.Run("bind-haoorlin", churnSequenceBench(false, maxflow.HaoOrlin))
-	b.Run("bind-pushrelabel", churnSequenceBench(false, maxflow.PushRelabel))
 	b.Run("members-rebind-haoorlin", memberChurnSequenceBench(true, maxflow.HaoOrlin))
 	b.Run("members-bind-haoorlin", memberChurnSequenceBench(false, maxflow.HaoOrlin))
-	b.Run("members-bind-pushrelabel", memberChurnSequenceBench(false, maxflow.PushRelabel))
 }
 
 // BenchmarkSimulationMinute measures raw simulation throughput: one

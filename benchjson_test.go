@@ -47,7 +47,7 @@ type benchTrajectoryFile struct {
 }
 
 // TestBenchTrajectory seeds the performance trajectory: it runs the
-// snapshot-analysis benchmarks, both max-flow algorithm benchmarks, and
+// snapshot-analysis benchmarks, both max-flow solver benchmarks, and
 // one figure regeneration at tiny scale, then writes ns/op and allocs/op
 // to BENCH_<date>.json. Skipped unless -benchjson is set, so the regular
 // test suite stays benchmark-free.
@@ -62,12 +62,11 @@ func TestBenchTrajectory(t *testing.T) {
 		{"SnapshotAnalysis", BenchmarkSnapshotAnalysis},
 		{"SnapshotAnalysisFused", BenchmarkSnapshotAnalysisFused},
 		{"MaxflowAlgorithms/dinic", maxflowAlgoBench(maxflow.Dinic)},
-		{"MaxflowAlgorithms/push-relabel", maxflowAlgoBench(maxflow.PushRelabel)},
 		{"MaxflowAlgorithms/hao-orlin", maxflowAlgoBench(maxflow.HaoOrlin)},
 		{"ChurnSequence/rebind-haoorlin", churnSequenceBench(true, maxflow.HaoOrlin)},
-		{"ChurnSequence/bind-pushrelabel", churnSequenceBench(false, maxflow.PushRelabel)},
+		{"ChurnSequence/bind-haoorlin", churnSequenceBench(false, maxflow.HaoOrlin)},
 		{"ChurnSequence/members-rebind-haoorlin", memberChurnSequenceBench(true, maxflow.HaoOrlin)},
-		{"ChurnSequence/members-bind-pushrelabel", memberChurnSequenceBench(false, maxflow.PushRelabel)},
+		{"ChurnSequence/members-bind-haoorlin", memberChurnSequenceBench(false, maxflow.HaoOrlin)},
 		{"Figure2SimA", func(b *testing.B) { benchFigure(b, scenario.Scale.Figure2) }},
 	}
 	doc := benchTrajectoryFile{

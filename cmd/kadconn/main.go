@@ -7,7 +7,7 @@
 // Examples:
 //
 //	kadconn -in out/snapshot-000120m.json
-//	kadconn -in out/snapshot-000120m.json -full -algo push-relabel
+//	kadconn -in out/snapshot-000120m.json -full -workers 4
 //	kadconn -in graph.dimacs -format dimacs
 //	kadconn -in out/snapshot-000120m.json -emit-dimacs transformed.dimacs
 package main
@@ -19,7 +19,6 @@ import (
 
 	"kadre/internal/connectivity"
 	"kadre/internal/graph"
-	"kadre/internal/maxflow"
 	"kadre/internal/snapshot"
 )
 
@@ -35,7 +34,6 @@ func run(args []string) error {
 	var (
 		in       = fs.String("in", "", "input file (required)")
 		format   = fs.String("format", "json", "input format: json (kadsim snapshot) or dimacs")
-		algoName = fs.String("algo", "dinic", "max-flow algorithm: dinic, push-relabel, or hao-orlin")
 		full     = fs.Bool("full", false, "full n(n-1) sweep instead of sampled sources")
 		sampleC  = fs.Float64("c", connectivity.DefaultSampleFraction, "sampling fraction c (ignored with -full)")
 		workers  = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
@@ -48,11 +46,6 @@ func run(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("-in is required")
 	}
-	algo, err := maxflow.ParseAlgorithm(*algoName)
-	if err != nil {
-		return err
-	}
-
 	g, err := load(*in, *format)
 	if err != nil {
 		return err
@@ -68,7 +61,7 @@ func run(args []string) error {
 		if _, err := fmt.Sscanf(*pairSpec, "%d,%d", &v, &w); err != nil {
 			return fmt.Errorf("bad -pair %q: %w", *pairSpec, err)
 		}
-		kappa, err := connectivity.Pair(g, v, w, algo)
+		kappa, err := connectivity.Pair(g, v, w)
 		if err != nil {
 			return err
 		}
@@ -77,19 +70,14 @@ func run(args []string) error {
 		return nil
 	}
 
-	opts := connectivity.Options{
-		Algorithm:      algo,
-		SampleFraction: *sampleC,
-		Workers:        *workers,
-	}
+	opts := connectivity.Options{SampleFraction: *sampleC, Workers: *workers}
 	if *full {
 		opts.SampleFraction = 1.0
 	}
-	analyzer, err := connectivity.NewAnalyzer(opts)
+	res, err := connectivity.Analyze(g, opts)
 	if err != nil {
 		return err
 	}
-	res := analyzer.Analyze(g)
 	fmt.Printf("kappa(D) = %d over %d pairs from %d sources (avg pair connectivity %.2f)\n",
 		res.Min, res.Pairs, res.Sources, res.Avg)
 	if res.Complete {

@@ -55,7 +55,7 @@ func TestRunAnalyzeJSON(t *testing.T) {
 	if err := run([]string{"-in", path, "-c", "0.2"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-in", path, "-algo", "push-relabel", "-c", "0.2"}); err != nil {
+	if err := run([]string{"-in", path, "-c", "0.2", "-workers", "2"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -145,10 +145,25 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-in", path, "-format", "yaml"}); err == nil {
 		t.Error("unknown format should fail")
 	}
-	if err := run([]string{"-in", path, "-algo", "simplex"}); err == nil {
-		t.Error("unknown algorithm should fail")
+	if err := run([]string{"-in", path, "-c", "-1"}); err == nil {
+		t.Error("negative sampling fraction should fail")
 	}
 	if err := run([]string{"-in", path, "-pair", "zz"}); err == nil {
 		t.Error("bad pair spec should fail")
+	}
+	// Malformed inputs are errors, not panics: self-loops in either
+	// format, and a vertex count too large to Even-transform.
+	for _, tc := range []struct{ name, format, body string }{
+		{"loop.dimacs", "dimacs", "p max 2 1\na 2 2 1\n"},
+		{"huge.dimacs", "dimacs", "p max 9999999999999 0\n"},
+		{"loop.json", "json", `{"bits":64,"nodes":[{"id":"0000000000000001","addr":1},{"id":"0000000000000002","addr":2}],"edges":[[1,1]]}`},
+	} {
+		bad := filepath.Join(t.TempDir(), tc.name)
+		if err := os.WriteFile(bad, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"-in", bad, "-format", tc.format}); err == nil {
+			t.Errorf("%s: expected an input error", tc.name)
+		}
 	}
 }

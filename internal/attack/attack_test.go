@@ -61,6 +61,25 @@ func (p *fakePop) AttackSnapshot() *snapshot.Snapshot {
 	return s
 }
 
+// AttackSlotSnapshot captures the surviving subgraph in stable-slot
+// form through the production capture core, keyed by address.
+func (p *fakePop) AttackSlotSnapshot(idx *snapshot.SlotIndex) *snapshot.SlotSnapshot {
+	s := &snapshot.SlotSnapshot{Time: p.sim.Now()}
+	for v, a := range p.alive {
+		if a {
+			s.IDs = append(s.IDs, id.FromUint64(p.bits, uint64(v)))
+			s.Addrs = append(s.Addrs, p.addrOf(v))
+		}
+	}
+	s.Graph, s.Order = snapshot.BuildSlotGraph(idx, s.Addrs, func(emit func(u, v simnet.Addr)) {
+		for _, e := range p.edges {
+			emit(p.addrOf(e[0]), p.addrOf(e[1]))
+			emit(p.addrOf(e[1]), p.addrOf(e[0]))
+		}
+	})
+	return s
+}
+
 func (p *fakePop) RemoveNode(addr simnet.Addr) bool {
 	v := int(addr) - 1
 	if v < 0 || v >= len(p.alive) || !p.alive[v] {
@@ -282,7 +301,7 @@ func TestCutsetReusesAnalysisEngine(t *testing.T) {
 	// Many strikes against a shrinking ring: every strike runs a full
 	// GraphCut, but the connectivity engine (and its cut-mode flow
 	// network) must be constructed exactly once and rebound in place —
-	// the PR-3 regression guard for the per-strike rebuild.
+	// the regression guard for the per-strike rebuild.
 	eng, pop := runAttack(t, 1, Config{
 		Strategy: Cutset, Budget: 8, Kills: 1, Interval: time.Minute, SampleFraction: 1.0,
 	}, 16, ring(16))

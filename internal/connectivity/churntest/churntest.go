@@ -1,6 +1,6 @@
 // Package churntest is the differential churn oracle: it pins the
 // incremental snapshot-connectivity path (graph deltas patched into a
-// long-lived engine via Rebind) to the from-scratch reference (a fresh
+// long-lived engine via RebindSlots) to the from-scratch reference (a fresh
 // engine bound per snapshot) over randomized churn traces.
 //
 // A trace models exactly the membership dynamics of the scenario runner:

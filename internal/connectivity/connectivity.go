@@ -13,18 +13,16 @@
 // Kademlia graphs); both modes are implemented, as is the undirected
 // (n-1)-pair shortcut the paper cites.
 //
-// Two entry points share one implementation. Engine is the reusable
-// analysis object for sweeping workloads: it binds to a graph, keeps the
-// Even transform, the per-worker solvers and the cut-mode network alive
-// across bindings, and fuses the per-snapshot Min and Avg sweeps into a
-// single pass. Analyzer is the thin per-call compatibility wrapper over
-// an Engine, preserving the original construct-and-analyze API.
+// Engine is the one analysis object: it binds to a graph, keeps the Even
+// transform, the per-worker solvers and the cut-mode network alive across
+// bindings, and fuses the per-snapshot Min and Avg sweeps into a single
+// pass. The one-shot functions (Analyze, GraphCut, PairCut) bind a fresh
+// Engine per call.
 package connectivity
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"kadre/internal/graph"
 	"kadre/internal/maxflow"
@@ -47,10 +45,8 @@ const (
 	UniformRandom
 )
 
-// Options configures an Analyzer.
+// Options configures a one-shot analysis (Analyze, GraphCut).
 type Options struct {
-	// Algorithm selects the max-flow solver; the zero value means Dinic.
-	Algorithm maxflow.Algorithm
 	// SampleFraction is the paper's c: the fraction of vertices used as
 	// flow sources. Values <= 0 or >= 1 mean a full n(n-1) sweep.
 	SampleFraction float64
@@ -83,7 +79,7 @@ type Result struct {
 	Complete bool    // graph was complete: Min = N-1 by definition
 	// MinPair is the lexicographically smallest evaluated (source, target)
 	// pair achieving Min, or {-1, -1} if no pair was evaluated or the
-	// analyzer was built with SkipMinPair. It is deterministic for a given
+	// analysis ran with SkipMinPair. It is deterministic for a given
 	// graph and options — independent of worker count and scheduling,
 	// with or without MinOnly pruning.
 	MinPair [2]int
@@ -98,54 +94,42 @@ func Resilience(kappa int) int { return kappa - 1 }
 // tolerate a compromised nodes: kappa(D) > a, i.e. at least a+1.
 func RequiredConnectivity(a int) int { return a + 1 }
 
-// Analyzer computes graph connectivity with a fixed configuration. It is
-// a thin compatibility wrapper over an Engine: every Analyze call binds
-// the engine to the argument graph, so repeated calls reuse the engine's
-// solvers and buffers. A mutex preserves the historical safety of
-// concurrent Analyze calls (they serialize; parallelism lives in the
-// engine's worker pool).
-type Analyzer struct {
-	opts Options
-	mu   sync.Mutex
-	eng  *Engine
+// Analyze computes the connectivity of g with a freshly bound Engine.
+// It fails for a negative or NaN sample fraction.
+func Analyze(g *graph.Digraph, opts Options) (Result, error) {
+	eng, q, err := bindFresh(g, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	return eng.Analyze(q), nil
 }
 
-// NewAnalyzer validates options and returns an Analyzer.
-func NewAnalyzer(opts Options) (*Analyzer, error) {
+// bindFresh validates opts and returns a new Engine bound to g, plus the
+// per-call query the options describe.
+func bindFresh(g *graph.Digraph, opts Options) (*Engine, Query, error) {
 	if opts.SampleFraction < 0 || math.IsNaN(opts.SampleFraction) {
-		return nil, fmt.Errorf("connectivity: sample fraction %v must be >= 0", opts.SampleFraction)
+		return nil, Query{}, fmt.Errorf("connectivity: sample fraction %v must be >= 0", opts.SampleFraction)
 	}
-	if opts.Selection == 0 {
-		opts.Selection = SmallestOutDegree
-	}
-	eng, err := NewEngine(EngineOptions{
-		// An explicit algorithm choice applies to every query; the zero
-		// value lets the engine pick its per-query-kind defaults.
-		Algorithm:      opts.Algorithm,
-		ExactAlgorithm: opts.Algorithm,
-		Workers:        opts.Workers,
-	})
+	eng, err := NewEngine(EngineOptions{Workers: opts.Workers})
 	if err != nil {
-		return nil, err
+		return nil, Query{}, err
 	}
-	opts.Workers = eng.maxWorkers
-	return &Analyzer{opts: opts, eng: eng}, nil
-}
-
-// MustNewAnalyzer is NewAnalyzer for statically correct options.
-func MustNewAnalyzer(opts Options) *Analyzer {
-	a, err := NewAnalyzer(opts)
-	if err != nil {
-		panic(err)
-	}
-	return a
+	eng.Bind(g)
+	return eng, Query{
+		SampleFraction: opts.SampleFraction,
+		Selection:      opts.Selection,
+		SelectionSeed:  opts.SelectionSeed,
+		MinOnly:        opts.MinOnly,
+		SkipMinPair:    opts.SkipMinPair,
+	}, nil
 }
 
 // Pair computes kappa(v, w) for one non-adjacent ordered pair via a
 // maximum flow on the Even-transformed graph. It fails for v == w and for
 // adjacent pairs, whose vertex connectivity is not defined by a vertex cut
-// (the direct edge can never be cut).
-func Pair(g *graph.Digraph, v, w int, algo maxflow.Algorithm) (int, error) {
+// (the direct edge can never be cut). It builds a fresh Dinic solver, so
+// it is also the independent per-pair reference the engine tests use.
+func Pair(g *graph.Digraph, v, w int) (int, error) {
 	if v == w {
 		return 0, fmt.Errorf("connectivity: pair (%d,%d) has identical endpoints", v, w)
 	}
@@ -155,40 +139,8 @@ func Pair(g *graph.Digraph, v, w int, algo maxflow.Algorithm) (int, error) {
 	if g.HasEdge(v, w) {
 		return 0, fmt.Errorf("connectivity: vertices %d and %d are adjacent", v, w)
 	}
-	if algo == 0 {
-		algo = maxflow.Dinic
-	}
-	solver := algo.NewSolverSource(2*g.N(), &unitEdgeSource{edges: graph.EvenEdges(g)})
+	solver := maxflow.NewDinicSource(2*g.N(), &unitEdgeSource{edges: graph.EvenEdges(g)})
 	return solver.MaxFlow(graph.Out(v), graph.In(w)), nil
-}
-
-// Analyze computes the connectivity of g according to the analyzer's
-// options.
-func (a *Analyzer) Analyze(g *graph.Digraph) Result {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.eng.Bind(g)
-	return a.eng.Analyze(a.query())
-}
-
-// GraphCut returns a minimum vertex cut of g found at the analyzer's
-// minimizing pair; see the package-level GraphCut.
-func (a *Analyzer) GraphCut(g *graph.Digraph) (cut []int, pair [2]int, ok bool, err error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.eng.Bind(g)
-	q := a.query()
-	return a.eng.GraphCut(q)
-}
-
-func (a *Analyzer) query() Query {
-	return Query{
-		SampleFraction: a.opts.SampleFraction,
-		Selection:      a.opts.Selection,
-		SelectionSeed:  a.opts.SelectionSeed,
-		MinOnly:        a.opts.MinOnly,
-		SkipMinPair:    a.opts.SkipMinPair,
-	}
 }
 
 func lexLess(a, b [2]int) bool {

@@ -66,14 +66,17 @@ func hypercube(d int) *graph.Digraph {
 	return undirected(n, pairs)
 }
 
-func fullAnalyzer(t *testing.T, algo maxflow.Algorithm) *Analyzer {
-	t.Helper()
-	a, err := NewAnalyzer(Options{Algorithm: algo, SampleFraction: 1.0})
+// analyze is Analyze for statically valid options.
+func analyze(g *graph.Digraph, opts Options) Result {
+	res, err := Analyze(g, opts)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	return a
+	return res
 }
+
+// fullSweep is a full n(n-1) sweep.
+var fullSweep = Options{SampleFraction: 1.0}
 
 func TestKnownConnectivities(t *testing.T) {
 	tests := []struct {
@@ -100,11 +103,12 @@ func TestKnownConnectivities(t *testing.T) {
 			1,
 		},
 	}
-	for _, algo := range []maxflow.Algorithm{maxflow.Dinic, maxflow.PushRelabel} {
-		a := fullAnalyzer(t, algo)
+	for _, algo := range []maxflow.Algorithm{maxflow.Dinic, maxflow.HaoOrlin} {
+		eng := MustNewEngine(EngineOptions{Algorithm: algo})
 		for _, tt := range tests {
 			t.Run(algo.String()+"/"+tt.name, func(t *testing.T) {
-				res := a.Analyze(tt.g)
+				eng.Bind(tt.g)
+				res := eng.Analyze(Query{SampleFraction: 1.0})
 				if res.Min != tt.want {
 					t.Fatalf("kappa = %d, want %d (result %+v)", res.Min, tt.want, res)
 				}
@@ -114,22 +118,20 @@ func TestKnownConnectivities(t *testing.T) {
 }
 
 func TestCompleteGraph(t *testing.T) {
-	a := fullAnalyzer(t, maxflow.Dinic)
-	res := a.Analyze(completeGraph(6))
+	res := analyze(completeGraph(6), fullSweep)
 	if !res.Complete || res.Min != 5 {
 		t.Fatalf("K6: %+v, want complete with kappa 5", res)
 	}
 }
 
 func TestTinyGraphs(t *testing.T) {
-	a := fullAnalyzer(t, maxflow.Dinic)
-	if res := a.Analyze(graph.NewDigraph(0)); res.Min != 0 || !res.Complete {
+	if res := analyze(graph.NewDigraph(0), fullSweep); res.Min != 0 || !res.Complete {
 		t.Errorf("empty graph: %+v", res)
 	}
-	if res := a.Analyze(graph.NewDigraph(1)); res.Min != 0 || !res.Complete {
+	if res := analyze(graph.NewDigraph(1), fullSweep); res.Min != 0 || !res.Complete {
 		t.Errorf("single vertex: %+v", res)
 	}
-	if res := a.Analyze(graph.NewDigraph(2)); res.Min != 0 {
+	if res := analyze(graph.NewDigraph(2), fullSweep); res.Min != 0 {
 		t.Errorf("two isolated vertices: %+v", res)
 	}
 }
@@ -144,8 +146,7 @@ func TestKCompleteMinusEdge(t *testing.T) {
 		}
 		g2.AddEdge(e.U, e.V)
 	}
-	a := fullAnalyzer(t, maxflow.Dinic)
-	res := a.Analyze(g2)
+	res := analyze(g2, fullSweep)
 	if res.Min != 3 {
 		t.Fatalf("kappa(K5 - e) = %d, want 3", res.Min)
 	}
@@ -164,8 +165,7 @@ func TestDirectedAsymmetry(t *testing.T) {
 	for i := 0; i < n; i++ {
 		g.AddEdge(i, (i+1)%n)
 	}
-	a := fullAnalyzer(t, maxflow.Dinic)
-	if res := a.Analyze(g); res.Min != 1 {
+	if res := analyze(g, fullSweep); res.Min != 1 {
 		t.Fatalf("directed C5 kappa = %d, want 1", res.Min)
 	}
 	// Remove one arc: some ordered pairs become unreachable -> kappa 0.
@@ -173,7 +173,7 @@ func TestDirectedAsymmetry(t *testing.T) {
 	for i := 0; i < n-1; i++ {
 		g2.AddEdge(i, (i+1)%n)
 	}
-	if res := a.Analyze(g2); res.Min != 0 {
+	if res := analyze(g2, fullSweep); res.Min != 0 {
 		t.Fatalf("directed path kappa = %d, want 0", res.Min)
 	}
 }
@@ -200,29 +200,27 @@ func TestEvenTransformPaperExample(t *testing.T) {
 		t.Fatalf("raw max flow = %d, want 3", f)
 	}
 	// Vertex connectivity via Even's transformation: 1.
-	for _, algo := range []maxflow.Algorithm{maxflow.Dinic, maxflow.PushRelabel} {
-		k, err := Pair(g, 0, 8, algo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k != 1 {
-			t.Fatalf("%v: kappa(a,i) = %d, want 1", algo, k)
-		}
+	k, err := Pair(g, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k != 1 {
+		t.Fatalf("kappa(a,i) = %d, want 1", k)
 	}
 }
 
 func TestPairErrors(t *testing.T) {
 	g := undirected(3, [][2]int{{0, 1}, {1, 2}})
-	if _, err := Pair(g, 0, 0, maxflow.Dinic); err == nil {
+	if _, err := Pair(g, 0, 0); err == nil {
 		t.Error("identical endpoints should fail")
 	}
-	if _, err := Pair(g, 0, 1, maxflow.Dinic); err == nil {
+	if _, err := Pair(g, 0, 1); err == nil {
 		t.Error("adjacent pair should fail")
 	}
-	if _, err := Pair(g, 0, 9, maxflow.Dinic); err == nil {
+	if _, err := Pair(g, 0, 9); err == nil {
 		t.Error("out of range should fail")
 	}
-	if k, err := Pair(g, 0, 2, maxflow.Dinic); err != nil || k != 1 {
+	if k, err := Pair(g, 0, 2); err != nil || k != 1 {
 		t.Errorf("kappa(0,2) = %d, %v; want 1", k, err)
 	}
 }
@@ -246,7 +244,7 @@ func TestMengersTheoremProperty(t *testing.T) {
 				if v == w || g.HasEdge(v, w) {
 					continue
 				}
-				k, err := Pair(g, v, w, maxflow.Dinic)
+				k, err := Pair(g, v, w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -266,8 +264,7 @@ func TestSamplingNeverUnderestimates(t *testing.T) {
 	// The sampled min is a min over a subset of pairs, so it can only be
 	// >= the full min.
 	r := rand.New(rand.NewSource(21))
-	full := fullAnalyzer(t, maxflow.Dinic)
-	sampled := MustNewAnalyzer(Options{SampleFraction: 0.1})
+	sampled := Options{SampleFraction: 0.1}
 	for trial := 0; trial < 10; trial++ {
 		n := 20 + r.Intn(20)
 		g := graph.NewDigraph(n)
@@ -278,7 +275,7 @@ func TestSamplingNeverUnderestimates(t *testing.T) {
 				g.AddEdge(v, u)
 			}
 		}
-		fr, sr := full.Analyze(g), sampled.Analyze(g)
+		fr, sr := analyze(g, fullSweep), analyze(g, sampled)
 		if sr.Min < fr.Min {
 			t.Fatalf("sampled min %d below full min %d", sr.Min, fr.Min)
 		}
@@ -303,9 +300,8 @@ func TestSamplingFindsMinOnDegreeBoundGraphs(t *testing.T) {
 		}
 		weak.AddEdge(e.U, e.V)
 	}
-	full := fullAnalyzer(t, maxflow.Dinic)
-	sampled := MustNewAnalyzer(Options{SampleFraction: 0.07}) // 2 sources
-	fr, sr := full.Analyze(weak), sampled.Analyze(weak)
+	fr := analyze(weak, fullSweep)
+	sr := analyze(weak, Options{SampleFraction: 0.07}) // 2 sources
 	if fr.Min != 2 {
 		t.Fatalf("full min = %d, want 2", fr.Min)
 	}
@@ -318,8 +314,7 @@ func TestSamplingFindsMinOnDegreeBoundGraphs(t *testing.T) {
 }
 
 func TestMinOnlyMode(t *testing.T) {
-	a := MustNewAnalyzer(Options{SampleFraction: 1.0, MinOnly: true})
-	res := a.Analyze(petersen())
+	res := analyze(petersen(), Options{SampleFraction: 1.0, MinOnly: true})
 	if res.Min != 3 {
 		t.Fatalf("MinOnly kappa = %d, want 3", res.Min)
 	}
@@ -331,8 +326,7 @@ func TestMinOnlyMode(t *testing.T) {
 func TestWorkersProduceSameResult(t *testing.T) {
 	g := petersen()
 	for _, workers := range []int{1, 2, 8} {
-		a := MustNewAnalyzer(Options{SampleFraction: 1.0, Workers: workers})
-		if res := a.Analyze(g); res.Min != 3 {
+		if res := analyze(g, Options{SampleFraction: 1.0, Workers: workers}); res.Min != 3 {
 			t.Fatalf("workers=%d: kappa = %d, want 3", workers, res.Min)
 		}
 	}
@@ -340,8 +334,7 @@ func TestWorkersProduceSameResult(t *testing.T) {
 
 func TestAvgReasonable(t *testing.T) {
 	// On C5, every non-adjacent pair has kappa exactly 2, so avg = 2.
-	a := fullAnalyzer(t, maxflow.Dinic)
-	res := a.Analyze(cycle(5))
+	res := analyze(cycle(5), fullSweep)
 	if res.Avg != 2.0 {
 		t.Fatalf("avg = %v, want 2.0", res.Avg)
 	}
@@ -351,24 +344,25 @@ func TestAvgReasonable(t *testing.T) {
 	}
 }
 
-func TestNewAnalyzerValidation(t *testing.T) {
-	if _, err := NewAnalyzer(Options{SampleFraction: -0.5}); err == nil {
+func TestAnalyzeValidation(t *testing.T) {
+	g := cycle(5)
+	if _, err := Analyze(g, Options{SampleFraction: -0.5}); err == nil {
 		t.Error("negative sample fraction should fail")
 	}
-	if _, err := NewAnalyzer(Options{SampleFraction: math.NaN()}); err == nil {
+	if _, err := Analyze(g, Options{SampleFraction: math.NaN()}); err == nil {
 		t.Error("NaN sample fraction should fail")
 	}
-	a, err := NewAnalyzer(Options{})
-	if err != nil {
-		t.Fatal(err)
+	if _, _, _, err := GraphCut(g, Options{SampleFraction: math.NaN()}); err == nil {
+		t.Error("GraphCut with a NaN sample fraction should fail")
 	}
-	if a.opts.Algorithm != 0 {
-		t.Error("unset algorithm should stay zero, deferring to the engine defaults")
+	if res, err := Analyze(g, Options{}); err != nil || res.Min != 2 {
+		t.Errorf("zero options: %+v, %v; want kappa 2 from a full sweep", res, err)
 	}
-	if a.eng.algo == 0 || a.eng.exactAlgo == 0 {
-		t.Error("engine must resolve concrete default algorithms")
+	eng := MustNewEngine(EngineOptions{})
+	if eng.algo != maxflow.HaoOrlin {
+		t.Errorf("default engine algorithm = %v, want hao-orlin", eng.algo)
 	}
-	if a.opts.Workers < 1 {
+	if eng.maxWorkers < 1 {
 		t.Error("workers should default to >= 1")
 	}
 }
@@ -401,7 +395,7 @@ func TestUndirectedMin(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := UndirectedMin(tt.g, maxflow.Dinic)
+			got, err := UndirectedMin(tt.g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -415,14 +409,13 @@ func TestUndirectedMin(t *testing.T) {
 func TestUndirectedMinRejectsAsymmetric(t *testing.T) {
 	g := graph.NewDigraph(3)
 	g.AddEdge(0, 1)
-	if _, err := UndirectedMin(g, maxflow.Dinic); err == nil {
+	if _, err := UndirectedMin(g); err == nil {
 		t.Fatal("asymmetric graph should be rejected")
 	}
 }
 
 func TestUndirectedMinIsUpperBound(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
-	full := fullAnalyzer(t, maxflow.Dinic)
 	for trial := 0; trial < 10; trial++ {
 		n := 8 + r.Intn(12)
 		g := graph.NewDigraph(n)
@@ -433,11 +426,11 @@ func TestUndirectedMinIsUpperBound(t *testing.T) {
 				g.AddEdge(v, u)
 			}
 		}
-		ub, err := UndirectedMin(g, maxflow.Dinic)
+		ub, err := UndirectedMin(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fr := full.Analyze(g); ub < fr.Min {
+		if fr := analyze(g, fullSweep); ub < fr.Min {
 			t.Fatalf("undirected shortcut %d below true kappa %d", ub, fr.Min)
 		}
 	}
@@ -452,7 +445,6 @@ func TestMinDegreeBound(t *testing.T) {
 	}
 	// kappa <= MinDegree on arbitrary graphs.
 	r := rand.New(rand.NewSource(17))
-	full := fullAnalyzer(t, maxflow.Dinic)
 	for trial := 0; trial < 10; trial++ {
 		n := 6 + r.Intn(10)
 		g := graph.NewDigraph(n)
@@ -462,7 +454,7 @@ func TestMinDegreeBound(t *testing.T) {
 				g.AddEdge(u, v)
 			}
 		}
-		res := full.Analyze(g)
+		res := analyze(g, fullSweep)
 		if res.Complete {
 			continue
 		}

@@ -59,12 +59,11 @@ func extractCut(n, v, w int, reach []bool) []int {
 // Like PairCut this is the throwaway-per-call form; per-snapshot callers
 // should hold an Engine and use Engine.GraphCut.
 func GraphCut(g *graph.Digraph, opts Options) (cut []int, pair [2]int, ok bool, err error) {
-	opts.MinOnly = true
-	a, err := NewAnalyzer(opts)
+	eng, q, err := bindFresh(g, opts)
 	if err != nil {
 		return nil, [2]int{}, false, err
 	}
-	return a.GraphCut(g)
+	return eng.GraphCut(q)
 }
 
 // RemoveVertices returns a copy of g with the given vertices deleted

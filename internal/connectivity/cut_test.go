@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"kadre/internal/graph"
-	"kadre/internal/maxflow"
 )
 
 func TestPairCutCutVertex(t *testing.T) {
@@ -41,7 +40,7 @@ func TestPairCutMatchesKappa(t *testing.T) {
 				if v == w || g.HasEdge(v, w) {
 					continue
 				}
-				kappa, err := Pair(g, v, w, maxflow.Dinic)
+				kappa, err := Pair(g, v, w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -121,8 +120,7 @@ func TestGraphCut(t *testing.T) {
 		partial := append([]int(nil), cut[:drop]...)
 		partial = append(partial, cut[drop+1:]...)
 		reduced, _ := RemoveVertices(g, partial)
-		full := MustNewAnalyzer(Options{SampleFraction: 1.0, MinOnly: true})
-		if full.Analyze(reduced).Min == 0 {
+		if analyze(reduced, Options{SampleFraction: 1.0, MinOnly: true}).Min == 0 {
 			t.Fatalf("removing only 2 cut nodes %v disconnected the graph", partial)
 		}
 	}

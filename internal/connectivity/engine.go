@@ -14,26 +14,22 @@ import (
 
 // EngineOptions configures an Engine.
 type EngineOptions struct {
-	// Algorithm solves the pruned (running-minimum-capped) sweep
-	// queries. The zero value means HaoOrlin: the fixed-root sweep
-	// solver (see maxflow.HaoOrlinSolver) pays no per-sink global
-	// relabel, ~3x ahead of the warm-start push-relabel path on the
-	// snapshot benchmark. Its MaxFlowLimit may overshoot the cap
-	// (returning any value in [limit, kappa]); the sweep bookkeeping
-	// only relies on "below the cap means exact", which every solver
-	// guarantees. Pass Dinic explicitly for stop-at-the-cap semantics.
+	// Algorithm solves the sweep queries, pruned (running-minimum-capped)
+	// and exact alike. The zero value means HaoOrlin: the fixed-root
+	// sweep solver (see maxflow.HaoOrlinSolver) pays no per-sink global
+	// relabel. Its MaxFlowLimit may overshoot the cap (returning any
+	// value in [limit, kappa]); the sweep bookkeeping only relies on
+	// "below the cap means exact", which every solver guarantees, so the
+	// results are identical with any solver. Pass Dinic explicitly for
+	// stop-at-the-cap semantics.
 	Algorithm maxflow.Algorithm
-	// ExactAlgorithm solves exact (uncapped) sweep queries — the Avg
-	// sweeps and full analyses. The zero value means HaoOrlin; the flow
-	// values are identical with any solver.
-	ExactAlgorithm maxflow.Algorithm
 	// Workers bounds the sweep worker pool; <= 0 means GOMAXPROCS. Each
 	// worker owns private solvers, replacing the paper's cluster fan-out.
 	Workers int
 }
 
 // Query selects what one Engine.Analyze computes; the fields mirror the
-// per-call half of Options (the Analyzer-compatible semantics).
+// per-call half of Options.
 type Query struct {
 	// SampleFraction is the paper's c; <= 0 or >= 1 means a full sweep.
 	SampleFraction float64
@@ -57,8 +53,8 @@ type SnapshotQuery struct {
 }
 
 // SnapshotResult carries the two results of a fused snapshot analysis:
-// Min is what a MinOnly smallest-out-degree Analyzer would report
-// (MinPair skipped), Avg what a UniformRandom exact Analyzer would.
+// Min is what a MinOnly smallest-out-degree Analyze would report
+// (MinPair skipped), Avg what a UniformRandom exact Analyze would.
 type SnapshotResult struct {
 	Min Result
 	Avg Result
@@ -71,15 +67,14 @@ type SnapshotResult struct {
 // cut-mode flow network, and all selection scratch — alive across
 // bindings. Analyzing a sequence of same-shape graphs (the per-snapshot
 // hot path at paper scale) therefore allocates only on the first
-// binding, where the throwaway-per-call Analyzer pattern rebuilt
-// O(workers*E) state per snapshot.
+// binding.
 //
-// Graphs bind in one of two styles: Bind takes a dense graph (every
-// vertex live), BindSlots a stable-slot graph plus its canonical
-// compaction map, in which case the engine masks vacant slots and runs
-// every query in compacted rank numbering — answers are interchangeable
-// between the styles. The slot style is what lets Rebind's incremental
-// patching span membership changes (see RebindSlots).
+// Every binding is a stable-slot binding: BindSlots takes a slot graph
+// plus its canonical compaction map, masks vacant slots and runs every
+// query in compacted rank numbering. A dense graph is the special case
+// with every vertex live in identity order, which is all Bind installs.
+// Slot identity is what lets RebindSlots patch incrementally across
+// membership changes.
 //
 // The reuse contract: Bind/BindSlots invalidates all previous binding
 // state and must be called before Analyze/AnalyzeSnapshot/PairCut/
@@ -89,7 +84,6 @@ type SnapshotResult struct {
 // query, independent of the worker count.
 type Engine struct {
 	algo       maxflow.Algorithm
-	exactAlgo  maxflow.Algorithm
 	maxWorkers int
 
 	// Binding state.
@@ -99,35 +93,34 @@ type Engine struct {
 	evenSrc unitEdgeSource
 	cutSrc  cutEdgeSource
 	gen     uint64 // binding generation; solvers rebind lazily
-	// evenDirty marks the Even edge list stale after a Rebind: patched
-	// solvers never read it, so it is rebuilt lazily — and only serially,
-	// before workers spawn — for solvers that need a full Reset.
+	// evenDirty marks the Even edge list stale after a RebindSlots:
+	// patched solvers never read it, so it is rebuilt lazily — and only
+	// serially, before workers spawn — for solvers that need a full Reset.
 	evenDirty bool
 
-	// Stable-slot (masked) binding state. With BindSlots the bound graph
-	// lives in slot space — one vertex per population slot, vacant slots
-	// isolated — while queries run in the canonical compacted rank space:
-	// masked is true, nact counts the active vertices, slotOrder maps
-	// dense rank -> slot (the capture's compaction map) and rankOf is its
-	// inverse (-1 for vacant slots). For a dense Bind, masked is false
-	// and nact == n with identity numbering. Sweep solvers stay bound to
-	// the slot-space Even transform (flow values are mask-invariant: a
-	// vacant slot's only arc is its never-usable internal edge), but the
-	// cut-mode network is built in rank space via cutEven so extracted
-	// cuts are bit-identical to a fresh bind of the compacted graph.
-	masked    bool
+	// Stable-slot binding state. The bound graph lives in slot space —
+	// one vertex per population slot, vacant slots isolated — while
+	// queries run in the canonical compacted rank space: nact counts the
+	// active vertices, slotOrder maps dense rank -> slot (the capture's
+	// compaction map) and rankOf is its inverse (-1 for vacant slots).
+	// Sweep solvers stay bound to the slot-space Even transform (flow
+	// values are mask-invariant: a vacant slot's only arc is its
+	// never-usable internal edge), but the cut-mode network is built in
+	// rank space via cutEven so extracted cuts are bit-identical to a
+	// fresh bind of the compacted graph.
 	nact      int
 	slotOrder []int
 	rankOf    []int32
+	identity  []int // Bind's identity order, reused across bindings
 	cutEven   []graph.Edge
-	cutDirty  bool // rank-space cut edge list stale (masked mode only)
+	cutDirty  bool // rank-space cut edge list stale
 
 	workers   []engineWorker
 	cutSolver *maxflow.DinicSolver
 	cutGen    uint64
 	cutBuilds int
 
-	// Rebind bookkeeping: reused Even-space delta adapters and the
+	// RebindSlots bookkeeping: reused Even-space delta adapters and the
 	// counters the regression tests pin.
 	addSrc, remSrc       evenDeltaSource
 	cutAddSrc, cutRemSrc evenDeltaSource
@@ -217,10 +210,10 @@ func (s *cutEdgeSource) EdgeAt(i int) (int, int, int32) {
 // coordinates with a fixed capacity — 1 for the sweep solvers, the cut
 // network's big capacity for the cut solver. Only original edges appear
 // in deltas (internal edges exist for every slot regardless of activity,
-// and Rebind keeps the slot space), so the (Out(u), In(v)) shape is
+// and RebindSlots keeps the slot space), so the (Out(u), In(v)) shape is
 // always right. A non-nil rank table additionally translates slot
 // endpoints into compacted rank numbering — the coordinate space of the
-// cut network under a masked binding.
+// cut network.
 type evenDeltaSource struct {
 	edges []graph.Edge
 	cap   int32
@@ -242,15 +235,11 @@ func NewEngine(opts EngineOptions) (*Engine, error) {
 	if opts.Algorithm == 0 {
 		opts.Algorithm = maxflow.HaoOrlin
 	}
-	if opts.ExactAlgorithm == 0 {
-		opts.ExactAlgorithm = maxflow.HaoOrlin
-	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
 		algo:       opts.Algorithm,
-		exactAlgo:  opts.ExactAlgorithm,
 		maxWorkers: opts.Workers,
 		workers:    make([]engineWorker, opts.Workers),
 		rng:        rand.New(rand.NewSource(1)),
@@ -266,51 +255,38 @@ func MustNewEngine(opts EngineOptions) *Engine {
 	return e
 }
 
-// Bind points the engine at g: it rebuilds the Even-transformed edge
-// list into the engine's reused buffer and schedules every solver for an
-// in-place rebind on first use. g must not be mutated while bound.
+// Bind points the engine at a dense graph: every vertex is live, in
+// identity order, so it is BindSlots with the identity compaction map.
+// g must not be mutated while bound.
 func (e *Engine) Bind(g *graph.Digraph) {
-	e.bindFull(g, nil)
+	e.identity = e.identity[:0]
+	for v := 0; v < g.N(); v++ {
+		e.identity = append(e.identity, v)
+	}
+	e.BindSlots(g, e.identity)
 }
 
 // BindSlots points the engine at a stable-slot graph: g has one vertex
 // per population slot (vacant slots isolated) and order lists the active
 // slots in canonical capture order — snapshot.SlotSnapshot's compaction
 // map. Every query then runs in compacted rank space: sources, MinPair
-// and cuts are reported in exactly the numbering a dense Bind of the
-// compacted graph would use, so results are interchangeable between the
-// two binding styles — what lets stable-slot rebinding hide behind the
-// golden fixtures. g and order must not be mutated while bound.
+// and cuts are reported in exactly the numbering of the compacted graph.
+// The Even-transformed edge list is rebuilt into the engine's reused
+// buffer and every solver is scheduled for an in-place rebind on first
+// use. g and order must not be mutated while bound.
 func (e *Engine) BindSlots(g *graph.Digraph, order []int) {
-	e.bindFull(g, order)
-}
-
-func (e *Engine) bindFull(g *graph.Digraph, order []int) {
 	e.g = g
 	e.n = g.N()
 	e.setOrder(order)
 	e.even = g.AppendEvenEdges(e.even[:0])
 	e.evenSrc.edges = e.even
-	if e.masked {
-		e.cutDirty = true
-	} else {
-		e.cutSrc = cutEdgeSource{edges: e.even, internal: e.n, big: int32(e.n + 1)}
-		e.cutDirty = false
-	}
+	e.cutDirty = true
 	e.evenDirty = false
 	e.gen++
 }
 
-// setOrder installs the rank <-> slot maps for a masked binding, or
-// resets to dense identity numbering when order is nil.
+// setOrder installs the rank <-> slot maps of a binding.
 func (e *Engine) setOrder(order []int) {
-	if order == nil {
-		e.masked = false
-		e.nact = e.n
-		e.slotOrder = e.slotOrder[:0]
-		return
-	}
-	e.masked = true
 	e.nact = len(order)
 	e.slotOrder = append(e.slotOrder[:0], order...)
 	if cap(e.rankOf) < e.n {
@@ -328,57 +304,34 @@ func (e *Engine) setOrder(order []int) {
 	}
 }
 
-// vtx translates a dense rank to the bound graph's vertex number: the
-// identity for dense bindings, the slot for masked ones.
-func (e *Engine) vtx(r int) int {
-	if !e.masked {
-		return r
-	}
-	return e.slotOrder[r]
-}
-
 // isCompleteActive reports whether every ordered pair of distinct ACTIVE
 // vertices is an edge (IsComplete on the compacted graph).
 func (e *Engine) isCompleteActive() bool {
 	return e.g.M() == e.nact*(e.nact-1)
 }
 
-// Rebind points the engine at g incrementally: g must be the currently
-// bound graph plus delta (same vertex count, same vertex identity —
-// cur = old - delta.Removed + delta.Added, as graph.DiffInto computes).
-// Instead of rebuilding the Even transform and re-initializing every
-// solver, Rebind patches each live solver's arc layout in place and
-// invalidates only the query-level caches the delta poisons (Dinic's
-// prepared-source BFS, push-relabel's warm-start preflow, the sweep
-// solver's root labels). Tombstoned arc slots preserve traversal order,
-// so analyses after a Rebind are bit-identical to analyses after a full
-// Bind of the same graph — the differential churn harness holds the two
-// paths to that contract.
+// RebindSlots points the engine at g incrementally: g must be the bound
+// slot graph plus delta (same slot count — cur = old - delta.Removed +
+// delta.Added, as graph.DiffSlotsInto computes), and order the new
+// capture's compaction map. Instead of rebuilding the Even transform and
+// re-initializing every solver, RebindSlots patches each live solver's
+// arc layout in place and invalidates only the query-level caches the
+// delta poisons (Dinic's prepared-source BFS, the sweep solver's root
+// labels). Tombstoned arc slots preserve traversal order, so analyses
+// after a RebindSlots are bit-identical to analyses after a full bind of
+// the same graph — the differential churn harness holds the two paths to
+// that contract.
 //
-// With no previous binding or a different vertex count, Rebind falls back
-// to Bind and reports false. A solver whose patch fails (an added edge
-// with no tombstoned slot to revive) is left on the old generation and
-// lazily re-initialized from the rebuilt Even list on next use; the
-// engine stays consistent either way.
-func (e *Engine) Rebind(g *graph.Digraph, delta graph.Delta) bool {
-	if e.g == nil || g.N() != e.n || e.masked {
-		e.Bind(g)
-		return false
-	}
-	e.rebindEdges(g, delta, true)
-	return true
-}
-
-// RebindSlots is Rebind for stable-slot bindings: g must be the bound
-// slot graph plus delta (same slot count), and order the new capture's
-// compaction map. Unlike Rebind, the membership may have changed — that
-// is the point: joins, leaves and strikes keep their slots' identities,
-// so the sweep solvers still patch in place from the edge delta alone,
-// and only the rank-space structures follow the new order. The cut-mode
-// network is patched too while the membership (and with it the rank
-// numbering) is unchanged; a membership change leaves it stale for a
-// lazy rank-space rebuild on the next cut query — the verified fallback,
-// since cut queries are off the per-snapshot hot path.
+// The membership may have changed — that is the point: joins, leaves
+// and strikes keep their slots' identities, so the sweep solvers still
+// patch in place from the edge delta alone, and only the rank-space
+// structures follow the new order. The cut-mode network is patched too
+// while the membership (and with it the rank numbering) is unchanged; a
+// membership change leaves it stale for a lazy rank-space rebuild on the
+// next cut query — the verified fallback, since cut queries are off the
+// per-snapshot hot path. A solver whose patch fails is left on the old
+// generation and lazily re-initialized from the rebuilt Even list on
+// next use; the engine stays consistent either way.
 //
 // With no previous binding or a different slot count (the slot table
 // grew), RebindSlots falls back to BindSlots and reports false.
@@ -387,7 +340,7 @@ func (e *Engine) RebindSlots(g *graph.Digraph, delta graph.Delta, order []int) b
 		e.BindSlots(g, order)
 		return false
 	}
-	sameMembership := e.masked && slices.Equal(e.slotOrder, order)
+	sameMembership := slices.Equal(e.slotOrder, order)
 	e.rebindEdges(g, delta, sameMembership)
 	if !sameMembership {
 		e.setOrder(order)
@@ -398,47 +351,38 @@ func (e *Engine) RebindSlots(g *graph.Digraph, delta graph.Delta, order []int) b
 
 // rebindEdges patches every live solver with the slot-space edge delta
 // and advances the binding generation. patchCut additionally patches the
-// cut-mode network (legal only while its coordinate numbering survives
-// the transition: always for dense rebinds, same-membership only for
-// masked ones).
+// cut-mode network, which is legal only while its rank numbering
+// survives the transition (same membership).
 func (e *Engine) rebindEdges(g *graph.Digraph, delta graph.Delta, patchCut bool) {
 	e.g = g
 	prevGen := e.gen
 	e.gen++
 	e.evenDirty = true
-	if e.masked {
-		e.cutDirty = true
-	}
+	e.cutDirty = true
 	e.rebinds++
 	e.addSrc = evenDeltaSource{edges: delta.Added, cap: 1}
 	e.remSrc = evenDeltaSource{edges: delta.Removed, cap: 1}
-	for i := range e.workers {
-		w := &e.workers[i]
-		if w.capped != nil && w.cappedGen == prevGen {
-			if a, ok := w.capped.(maxflow.UnitDeltaApplier); ok && a.ApplyUnitDelta(&e.addSrc, &e.remSrc) {
-				w.cappedGen = e.gen
-			} else {
-				e.rebindFallbacks++
-			}
+	patch := func(s maxflow.Solver, gen *uint64) {
+		if s == nil || *gen != prevGen {
+			return
 		}
-		if w.exact != nil && w.exactGen == prevGen {
-			if a, ok := w.exact.(maxflow.UnitDeltaApplier); ok && a.ApplyUnitDelta(&e.addSrc, &e.remSrc) {
-				w.exactGen = e.gen
-			} else {
-				e.rebindFallbacks++
-			}
+		if a, ok := s.(maxflow.UnitDeltaApplier); ok && a.ApplyUnitDelta(&e.addSrc, &e.remSrc) {
+			*gen = e.gen
+		} else {
+			e.rebindFallbacks++
 		}
 	}
+	for i := range e.workers {
+		w := &e.workers[i]
+		patch(w.capped, &w.cappedGen)
+		patch(w.exact, &w.exactGen)
+	}
 	// The cut-mode network revives original edges at the big capacity
-	// that keeps minimum cuts on internal edges; under a masked binding
-	// its coordinates are ranks, so the delta is translated on the fly.
+	// that keeps minimum cuts on internal edges; its coordinates are
+	// ranks, so the delta is translated on the fly.
 	if patchCut && e.cutSolver != nil && e.cutGen == prevGen {
-		var rank []int32
-		if e.masked {
-			rank = e.rankOf
-		}
-		e.cutAddSrc = evenDeltaSource{edges: delta.Added, cap: e.cutSrc.big, rank: rank}
-		e.cutRemSrc = evenDeltaSource{edges: delta.Removed, cap: e.cutSrc.big, rank: rank}
+		e.cutAddSrc = evenDeltaSource{edges: delta.Added, cap: e.cutSrc.big, rank: e.rankOf}
+		e.cutRemSrc = evenDeltaSource{edges: delta.Removed, cap: e.cutSrc.big, rank: e.rankOf}
 		if e.cutSolver.ApplyUnitDelta(&e.cutAddSrc, &e.cutRemSrc) {
 			e.cutGen = e.gen
 		} else {
@@ -465,32 +409,23 @@ func (e *Engine) MembershipRebinds() int { return e.memberRebinds }
 // and the steady-state regression tests pin this to zero outright.
 func (e *Engine) RebindFallbacks() int { return e.rebindFallbacks }
 
-// ensureEven rebuilds the Even edge list after a Rebind marked it stale.
-// It must only run from the serial sections of the engine (before sweep
-// workers spawn): the sweep's solver fast paths never call it.
+// ensureEven rebuilds the Even edge list after a RebindSlots marked it
+// stale. It must only run from the serial sections of the engine (before
+// sweep workers spawn): the sweep's solver fast paths never call it.
 func (e *Engine) ensureEven() {
 	if !e.evenDirty {
 		return
 	}
 	e.even = e.g.AppendEvenEdges(e.even[:0])
 	e.evenSrc.edges = e.even
-	if !e.masked {
-		e.cutSrc.edges = e.even
-	}
 	e.evenDirty = false
 }
 
-// ensureCut readies cutSrc for (re)building the cut-mode network: the
-// shared slot-space Even list under a dense binding, the compacted
-// rank-space list under a masked one — the numbering in which cut
-// queries are asked and answered, and the reason a masked engine's cuts
-// match a fresh bind of the compacted graph arc for arc.
+// ensureCut readies cutSrc for (re)building the cut-mode network from
+// the compacted rank-space Even list — the numbering in which cut
+// queries are asked and answered, and the reason an engine's cuts match
+// a fresh bind of the compacted graph arc for arc.
 func (e *Engine) ensureCut() {
-	if !e.masked {
-		e.ensureEven()
-		e.cutSrc = cutEdgeSource{edges: e.even, internal: e.n, big: int32(e.n + 1)}
-		return
-	}
 	if e.cutDirty {
 		e.cutEven = e.g.AppendEvenEdgesCompact(e.cutEven[:0], e.slotOrder, e.rankOf)
 		e.cutDirty = false
@@ -509,33 +444,25 @@ func (e *Engine) CutNetworkBuilds() int { return e.cutBuilds }
 // rebinding it to the current graph as needed.
 func (e *Engine) solverFor(w int, exact bool) maxflow.Solver {
 	ew := &e.workers[w]
+	s, gen := &ew.capped, &ew.cappedGen
 	if exact {
-		if ew.exact == nil {
-			e.ensureEven()
-			ew.exact = e.exactAlgo.NewSolverSource(2*e.n, &e.evenSrc)
-			ew.exactGen = e.gen
-		} else if ew.exactGen != e.gen {
-			e.ensureEven()
-			ew.exact.Reset(2*e.n, &e.evenSrc)
-			ew.exactGen = e.gen
-		}
-		return ew.exact
+		s, gen = &ew.exact, &ew.exactGen
 	}
-	if ew.capped == nil {
+	if *s == nil {
 		e.ensureEven()
-		ew.capped = e.algo.NewSolverSource(2*e.n, &e.evenSrc)
-		ew.cappedGen = e.gen
-	} else if ew.cappedGen != e.gen {
+		*s = e.algo.NewSolverSource(2*e.n, &e.evenSrc)
+		*gen = e.gen
+	} else if *gen != e.gen {
 		e.ensureEven()
-		ew.capped.Reset(2*e.n, &e.evenSrc)
-		ew.cappedGen = e.gen
+		(*s).Reset(2*e.n, &e.evenSrc)
+		*gen = e.gen
 	}
-	return ew.capped
+	return *s
 }
 
-// Analyze computes the connectivity of the bound graph with
-// Analyzer-compatible semantics: identical Min, Avg, Pairs, Sources and
-// MinPair for any query, worker count and algorithm choice.
+// Analyze computes the connectivity of the bound graph: identical Min,
+// Avg, Pairs, Sources and MinPair for any query, worker count and
+// algorithm choice.
 func (e *Engine) Analyze(q Query) Result {
 	if e.g == nil {
 		panic("connectivity: Engine.Analyze before Bind")
@@ -575,9 +502,9 @@ func (e *Engine) Analyze(q Query) Result {
 
 // AnalyzeSnapshot runs the fused per-snapshot analysis: one sweep over
 // the union of the smallest-out-degree sources (pruned at the running
-// minimum, feeding Min — exactly a MinOnly Analyzer) and the seeded
+// minimum, feeding Min — exactly a MinOnly Analyze) and the seeded
 // uniform sources (exact flows, feeding Avg — exactly a UniformRandom
-// Analyzer). Fusing shares the Even transform, the solver pool and the
+// Analyze). Fusing shares the Even transform, the solver pool and the
 // worker fan-out between the two measurements the paper plots, instead
 // of paying for each twice per snapshot.
 func (e *Engine) AnalyzeSnapshot(q SnapshotQuery) SnapshotResult {
@@ -632,7 +559,7 @@ func (e *Engine) runSweep(tasks []sweepTask) {
 		if t.exact {
 			continue
 		}
-		if d := e.g.OutDegree(e.vtx(t.src)); d < e.nact-1 && d < st.running {
+		if d := e.g.OutDegree(e.slotOrder[t.src]); d < e.nact-1 && d < st.running {
 			st.running = d
 		}
 	}
@@ -642,7 +569,8 @@ func (e *Engine) runSweep(tasks []sweepTask) {
 	}
 	// Resolve every solver the sweep may touch while still serial: a
 	// stale solver's Reset reads the shared Even edge list (possibly
-	// rebuilding it after a Rebind), which must not race across workers.
+	// rebuilding it after a RebindSlots), which must not race across
+	// workers.
 	// In the steady state — bound or patched solvers on the current
 	// generation — these calls are gen checks and nothing more.
 	needCapped, needExact := false, false
@@ -687,9 +615,9 @@ type sweepState struct {
 // sweepWorker drains tasks, writing results[idx] for each claimed task
 // (distinct indices, so no result locking is needed). Sources, targets
 // and recorded pairs are dense ranks; only the solver coordinates and
-// adjacency probes translate through vtx to the bound graph's numbering,
-// so a masked sweep records exactly what a dense sweep of the compacted
-// graph would.
+// adjacency probes translate through slotOrder to the bound graph's
+// slots, so a sweep records exactly what a sweep of the compacted graph
+// would.
 func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 	n := e.nact
 	g := e.g
@@ -706,7 +634,7 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 
 		task := tasks[idx]
 		src := task.src
-		srcV := e.vtx(src)
+		srcV := e.slotOrder[src]
 		res := taskResult{
 			min: n, minPair: [2]int{-1, -1},
 			exactMin: n, exactMinTgt: n,
@@ -715,7 +643,7 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 		solver := e.solverFor(w, task.exact)
 		solver.PrepareSource(graph.Out(srcV))
 		for tgt := 0; tgt < n; tgt++ {
-			tgtV := e.vtx(tgt)
+			tgtV := e.slotOrder[tgt]
 			if tgtV == srcV || g.HasEdge(srcV, tgtV) {
 				continue
 			}
@@ -760,8 +688,8 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 	}
 }
 
-// combine folds task results into a Result with the Analyzer's exact
-// semantics, including the sample-yielded-no-information fallback.
+// combine folds task results into a Result, including the
+// sample-yielded-no-information fallback.
 func (e *Engine) combine(results []taskResult, sources int) Result {
 	n := e.nact
 	out := Result{N: n, Min: n, MinPair: [2]int{-1, -1}, Sources: sources}
@@ -813,7 +741,7 @@ func (e *Engine) resolveMinPair(tasks []sweepTask, results []taskResult, min int
 	for _, ti := range idxs {
 		r := &results[ti]
 		src := tasks[ti].src
-		srcV := e.vtx(src)
+		srcV := e.slotOrder[src]
 		exTgt := n
 		if r.exactMin == min {
 			exTgt = r.exactMinTgt
@@ -828,7 +756,7 @@ func (e *Engine) resolveMinPair(tasks []sweepTask, results []taskResult, min int
 			}
 			solver.PrepareSource(graph.Out(srcV))
 			for tgt := amTgt; tgt < exTgt; tgt++ {
-				tgtV := e.vtx(tgt)
+				tgtV := e.slotOrder[tgt]
 				if tgtV == srcV || e.g.HasEdge(srcV, tgtV) {
 					continue
 				}
@@ -896,7 +824,7 @@ func (e *Engine) smallestOutDegreeSources(count int) []int {
 		cnt[i] = 0
 	}
 	for v := 0; v < n; v++ {
-		cnt[e.g.OutDegree(e.vtx(v))]++
+		cnt[e.g.OutDegree(e.slotOrder[v])]++
 	}
 	var total int32
 	for d := 0; d < n; d++ {
@@ -909,7 +837,7 @@ func (e *Engine) smallestOutDegreeSources(count int) []int {
 	}
 	order := e.orderBuf[:n]
 	for v := 0; v < n; v++ {
-		d := e.g.OutDegree(e.vtx(v))
+		d := e.g.OutDegree(e.slotOrder[v])
 		order[cnt[d]] = v
 		cnt[d]++
 	}
@@ -935,8 +863,8 @@ func (e *Engine) uniformSources(count int, seed int64) []int {
 }
 
 // PairCut returns a minimum vertex cut separating w from v on the bound
-// graph, with the semantics of the package-level PairCut. Under a masked
-// binding v and w are dense ranks and so is the returned cut. The
+// graph, with the semantics of the package-level PairCut. v and w are
+// dense ranks and so is the returned cut. The
 // cut-mode flow network is cached: the first call builds it, later
 // calls — and later bindings — reinitialize it in place, so an
 // adversary striking once per snapshot stops paying a network
@@ -951,7 +879,7 @@ func (e *Engine) PairCut(v, w int) ([]int, error) {
 	if v < 0 || v >= e.nact || w < 0 || w >= e.nact {
 		return nil, fmt.Errorf("connectivity: cut (%d,%d) out of range [0,%d)", v, w, e.nact)
 	}
-	if e.g.HasEdge(e.vtx(v), e.vtx(w)) {
+	if e.g.HasEdge(e.slotOrder[v], e.slotOrder[w]) {
 		return nil, fmt.Errorf("connectivity: vertices %d and %d are adjacent; no vertex cut separates them", v, w)
 	}
 	if e.cutSolver == nil {

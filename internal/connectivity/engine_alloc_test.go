@@ -41,10 +41,11 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 }
 
 // TestEngineRebindSteadyStateAllocs pins the incremental path's reuse
-// contract: once the delta buffers and solver state have warmed up,
-// diffing adjacent graphs, patching the engine via Rebind (tombstones,
-// revivals AND slack insertions — the graphs differ in both directions)
-// and re-running the fused snapshot analysis must not allocate at all.
+// contract on a fixed membership: once the delta buffers and solver
+// state have warmed up, diffing adjacent captures and patching the
+// engine through BindNextSlots (tombstones, revivals AND slack
+// insertions — the graphs differ in both directions) and re-running the
+// fused snapshot analysis must not allocate at all.
 func TestEngineRebindSteadyStateAllocs(t *testing.T) {
 	g1 := randomSymmetricGraph(11, 60, 600)
 	g2 := g1.Clone()
@@ -60,19 +61,19 @@ func TestEngineRebindSteadyStateAllocs(t *testing.T) {
 			g2.AddEdge(0, v)
 		}
 	}
+	order := make([]int, g1.N()) // every vertex live, identity order
+	for i := range order {
+		order[i] = i
+	}
 	eng := MustNewEngine(EngineOptions{Workers: 1})
-	var delta graph.Delta
-	cur := g1
-	step := func(next *graph.Digraph) {
-		graph.DiffInto(cur, next, &delta)
-		if !eng.Rebind(next, delta) {
-			t.Fatal("Rebind fell back during steady state")
+	binder := NewIncrementalBinder(eng)
+	step := func(g *graph.Digraph) {
+		if !binder.BindNextSlots(g, order) && binder.FullBinds() > 1 {
+			t.Fatal("BindNextSlots fell back during steady state")
 		}
 		eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: 0.05, AvgSeed: 3})
-		cur = next
 	}
-	eng.Bind(g1)
-	eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: 0.05, AvgSeed: 3})
+	step(g1)
 	step(g2) // warm-up: slack insertions and delta buffers grow once
 	step(g1)
 	step(g2)
@@ -86,10 +87,13 @@ func TestEngineRebindSteadyStateAllocs(t *testing.T) {
 		i++
 	})
 	if allocs > 0 {
-		t.Fatalf("steady-state diff+Rebind+AnalyzeSnapshot allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("steady-state diff+RebindSlots+AnalyzeSnapshot allocates %.1f times per run, want 0", allocs)
 	}
 	if fb := eng.RebindFallbacks(); fb != 0 {
 		t.Fatalf("rebind patch fallbacks = %d, want 0", fb)
+	}
+	if eng.MembershipRebinds() != 0 {
+		t.Fatalf("fixed membership counted %d membership rebinds", eng.MembershipRebinds())
 	}
 }
 

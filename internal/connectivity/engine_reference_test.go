@@ -10,17 +10,24 @@ import (
 	"kadre/internal/maxflow"
 )
 
-// This file carries the pre-engine Analyzer implementation verbatim as a
+// This file carries the pre-engine analysis implementation verbatim as a
 // differential-testing oracle: an independent, worker-pooled sweep with
 // its own source selection, MinOnly pruning and lexMinPair second pass.
 // The engine must reproduce its results — Min, Avg, Pairs, Sources and
 // MinPair — bit for bit on every option combination (see engine_test.go).
 
-// referenceAnalyze is the historical Analyzer.Analyze.
-func referenceAnalyze(opts Options, g *graph.Digraph) Result {
-	if opts.Algorithm == 0 {
-		opts.Algorithm = maxflow.Dinic
+// referenceSnapshot is the reference for Engine.AnalyzeSnapshot: the
+// MinOnly smallest-out-degree analysis and the exact UniformRandom
+// analysis the fused sweep replaces.
+func referenceSnapshot(q SnapshotQuery, g *graph.Digraph) SnapshotResult {
+	return SnapshotResult{
+		Min: referenceAnalyze(Options{SampleFraction: q.SampleFraction, MinOnly: true, SkipMinPair: true}, g),
+		Avg: referenceAnalyze(Options{SampleFraction: q.SampleFraction, Selection: UniformRandom, SelectionSeed: q.AvgSeed}, g),
 	}
+}
+
+// referenceAnalyze is the historical per-call analysis, always on Dinic.
+func referenceAnalyze(opts Options, g *graph.Digraph) Result {
 	if opts.Selection == 0 {
 		opts.Selection = SmallestOutDegree
 	}
@@ -65,7 +72,7 @@ func referenceAnalyze(opts Options, g *graph.Digraph) Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			solver := opts.Algorithm.NewSolver(2*n, edges)
+			solver := maxflow.NewDinic(2*n, edges)
 			for {
 				mu.Lock()
 				idx := nextSource
@@ -171,7 +178,7 @@ func referenceLexMinPair(opts Options, g *graph.Digraph, sources []int, edges []
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			solver := opts.Algorithm.NewSolver(2*n, edges)
+			solver := maxflow.NewDinic(2*n, edges)
 			for {
 				mu.Lock()
 				idx := next

@@ -23,10 +23,10 @@ func sameResult(a, b Result) bool {
 }
 
 // TestEngineMatchesReference is the equivalence property test: on random
-// digraphs, Engine.Analyze must reproduce the pre-engine Analyzer
-// implementation (kept verbatim in engine_reference_test.go) across the
-// whole option grid — sampling modes, MinOnly pruning, MinPair on and
-// off, both algorithms, several worker counts.
+// digraphs, Engine.Analyze must reproduce the pre-engine implementation
+// (kept verbatim in engine_reference_test.go) across the whole option
+// grid — sampling modes, MinOnly pruning, MinPair on and off, both sweep
+// solvers, several worker counts.
 func TestEngineMatchesReference(t *testing.T) {
 	graphs := []*graph.Digraph{
 		randomDigraph(11, 18, 60),
@@ -43,33 +43,31 @@ func TestEngineMatchesReference(t *testing.T) {
 			{SampleFraction: 0.15, Selection: UniformRandom, SelectionSeed: 5},
 			{SampleFraction: 0.15, Selection: UniformRandom, SelectionSeed: 6, MinOnly: true},
 			{SampleFraction: 0.2, SkipMinPair: true},
-			{SampleFraction: 1.0, Algorithm: maxflow.PushRelabel, MinOnly: true},
-			{SampleFraction: 0.1, Algorithm: maxflow.PushRelabel},
 		} {
 			want := referenceAnalyze(opt, g)
 			for _, workers := range []int{1, 3, 8} {
 				opt.Workers = workers
-				got := MustNewAnalyzer(opt).Analyze(g)
+				got := analyze(g, opt)
 				if !sameResult(got, want) {
 					t.Fatalf("graph %d opts %+v: engine %+v != reference %+v", gi, opt, got, want)
 				}
 				// The engine must also agree when rebound repeatedly (the
-				// per-snapshot reuse pattern).
-				eng := MustNewEngine(EngineOptions{
-					Algorithm: opt.Algorithm, ExactAlgorithm: opt.Algorithm, Workers: workers,
-				})
-				for rep := 0; rep < 2; rep++ {
-					eng.Bind(g)
-					got = eng.Analyze(Query{
-						SampleFraction: opt.SampleFraction,
-						Selection:      opt.Selection,
-						SelectionSeed:  opt.SelectionSeed,
-						MinOnly:        opt.MinOnly,
-						SkipMinPair:    opt.SkipMinPair,
-					})
-					if !sameResult(got, want) {
-						t.Fatalf("graph %d opts %+v rep %d: rebound engine %+v != reference %+v",
-							gi, opt, rep, got, want)
+				// per-snapshot reuse pattern), with either sweep solver.
+				for _, algo := range []maxflow.Algorithm{maxflow.Dinic, maxflow.HaoOrlin} {
+					eng := MustNewEngine(EngineOptions{Algorithm: algo, Workers: workers})
+					for rep := 0; rep < 2; rep++ {
+						eng.Bind(g)
+						got = eng.Analyze(Query{
+							SampleFraction: opt.SampleFraction,
+							Selection:      opt.Selection,
+							SelectionSeed:  opt.SelectionSeed,
+							MinOnly:        opt.MinOnly,
+							SkipMinPair:    opt.SkipMinPair,
+						})
+						if !sameResult(got, want) {
+							t.Fatalf("graph %d opts %+v %v rep %d: rebound engine %+v != reference %+v",
+								gi, opt, algo, rep, got, want)
+						}
 					}
 				}
 			}
@@ -209,7 +207,7 @@ func TestEngineDegenerateGraphs(t *testing.T) {
 			{SampleFraction: 0.1, Selection: UniformRandom, SelectionSeed: 3},
 		} {
 			want := referenceAnalyze(opt, g)
-			got := MustNewAnalyzer(opt).Analyze(g)
+			got := analyze(g, opt)
 			if !sameResult(got, want) {
 				t.Fatalf("n=%d opts %+v: engine %+v != reference %+v", g.N(), opt, got, want)
 			}
@@ -249,15 +247,15 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// TestWarmStartConsistency cross-checks the push-relabel warm-start used
-// by the engine's sweeps at the connectivity level: per-source repeated
-// queries (warm) must match fresh per-pair computations (cold) on random
-// graphs.
+// TestWarmStartConsistency cross-checks the sweep solver's per-source
+// reuse at the connectivity level: per-source repeated queries on cached
+// distance labels (warm) must match fresh per-pair Dinic computations
+// (cold) on random graphs.
 func TestWarmStartConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 6; trial++ {
 		g := randomDigraph(rng.Int63(), 20, 90)
-		solver := maxflow.PushRelabel.NewSolverSource(2*g.N(), &unitEdgeSource{edges: graph.EvenEdges(g)})
+		solver := maxflow.NewHaoOrlinSource(2*g.N(), &unitEdgeSource{edges: graph.EvenEdges(g)})
 		for src := 0; src < 4; src++ {
 			solver.PrepareSource(graph.Out(src))
 			for tgt := 0; tgt < g.N(); tgt++ {
@@ -265,7 +263,7 @@ func TestWarmStartConsistency(t *testing.T) {
 					continue
 				}
 				warm := solver.MaxFlow(graph.Out(src), graph.In(tgt))
-				want, err := Pair(g, src, tgt, maxflow.Dinic)
+				want, err := Pair(g, src, tgt)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -115,8 +115,8 @@ func (e *Engine) Governance() GovernancePolicy { return e.gov }
 // churn oracle holds both paths to that contract.
 //
 // Call it between snapshots: the work is proportional to the compacted
-// stores and stays off the Analyze/Rebind hot path, whose steady state
-// remains allocation-free.
+// stores and stays off the Analyze/RebindSlots hot path, whose steady
+// state remains allocation-free.
 func (e *Engine) Maintain() int {
 	if e.gov.MaxDeadFrac <= 0 {
 		return 0

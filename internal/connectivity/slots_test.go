@@ -114,12 +114,12 @@ func requireSameCut(t *testing.T, label string, gotCut []int, gotPair [2]int, go
 	}
 }
 
-// TestBindSlotsMatchesDenseBind pins the masked-binding equivalence: an
+// TestBindSlotsMatchesDenseBind pins the slot-binding equivalence: an
 // engine bound to a slot graph (vacant slots, recycled order) answers
 // every query — fused snapshot analysis, MinOnly analysis with its
-// deterministic MinPair, and GraphCut including the extracted cut —
-// exactly like a reference engine bound to the canonical compacted
-// graph, in the compacted numbering.
+// deterministic MinPair, exact uniform analysis, and GraphCut including
+// the extracted cut — exactly like the independent reference on the
+// canonical compacted graph, in the compacted numbering.
 func TestBindSlotsMatchesDenseBind(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		w := newSlotWorld(seed, 14, 4)
@@ -136,34 +136,23 @@ func TestBindSlotsMatchesDenseBind(t *testing.T) {
 		}
 		eng := MustNewEngine(EngineOptions{Workers: 3})
 		eng.BindSlots(slotG, order)
-		ref := MustNewEngine(EngineOptions{Workers: 1})
-		ref.Bind(dense)
 
-		sq := SnapshotQuery{SampleFraction: 0.5, AvgSeed: seed}
-		gotSnap, wantSnap := eng.AnalyzeSnapshot(sq), ref.AnalyzeSnapshot(sq)
-		requireSameResult(t, "snapshot.Min", gotSnap.Min, wantSnap.Min)
-		requireSameResult(t, "snapshot.Avg", gotSnap.Avg, wantSnap.Avg)
-
-		mq := Query{SampleFraction: 0.5, MinOnly: true}
-		requireSameResult(t, "minonly", eng.Analyze(mq), ref.Analyze(mq))
+		requireMatchesReference(t, "slots", eng, dense, 0.5, seed)
 		fq := Query{Selection: UniformRandom, SelectionSeed: seed}
-		requireSameResult(t, "exact-uniform", eng.Analyze(fq), ref.Analyze(fq))
+		requireSameResult(t, "exact-uniform", eng.Analyze(fq),
+			referenceAnalyze(Options{Selection: UniformRandom, SelectionSeed: seed}, dense))
 
-		gotCut, gotPair, gotOK, err := eng.GraphCut(Query{SampleFraction: 0.5})
+		cut, pair, ok, err := eng.GraphCut(Query{SampleFraction: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantCut, wantPair, wantOK, err := ref.GraphCut(Query{SampleFraction: 0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameCut(t, "graphcut", gotCut, gotPair, gotOK, wantCut, wantPair, wantOK)
+		requireValidCut(t, "graphcut", dense, 0.5, cut, pair, ok)
 	}
 }
 
 // TestBindNextSlotsIncrementalAcrossMembership drives one binder across
 // edge churn, joins (recycled and appended slots) and leaves, asserting
-// (a) every answer matches a from-scratch dense bind, (b) the
+// (a) every answer matches the reference on the compacted graph, (b) the
 // incremental path is taken at every step where the slot table did not
 // grow — joins, leaves and strikes included — and (c) no solver patch
 // ever falls back.
@@ -171,7 +160,6 @@ func TestBindNextSlotsIncrementalAcrossMembership(t *testing.T) {
 	w := newSlotWorld(42, 12, 3)
 	eng := MustNewEngine(EngineOptions{Workers: 2})
 	binder := NewIncrementalBinder(eng)
-	ref := MustNewEngine(EngineOptions{Workers: 1})
 	bound := false
 	prevSlots := -1
 	memberSteps := 0
@@ -199,23 +187,13 @@ func TestBindNextSlotsIncrementalAcrossMembership(t *testing.T) {
 		}
 		bound = true
 		prevSlots = slotG.N()
-		ref.Bind(dense)
 
-		sq := SnapshotQuery{SampleFraction: 0.5, AvgSeed: int64(step)}
-		gotSnap, wantSnap := eng.AnalyzeSnapshot(sq), ref.AnalyzeSnapshot(sq)
-		requireSameResult(t, "snapshot.Min", gotSnap.Min, wantSnap.Min)
-		requireSameResult(t, "snapshot.Avg", gotSnap.Avg, wantSnap.Avg)
-		mq := Query{SampleFraction: 0.5, MinOnly: true}
-		requireSameResult(t, "minonly", eng.Analyze(mq), ref.Analyze(mq))
-		gotCut, gotPair, gotOK, err := eng.GraphCut(Query{SampleFraction: 0.5})
+		requireMatchesReference(t, "step", eng, dense, 0.5, int64(step))
+		cut, pair, ok, err := eng.GraphCut(Query{SampleFraction: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantCut, wantPair, wantOK, err := ref.GraphCut(Query{SampleFraction: 0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameCut(t, "graphcut", gotCut, gotPair, gotOK, wantCut, wantPair, wantOK)
+		requireValidCut(t, "graphcut", dense, 0.5, cut, pair, ok)
 		if fb := eng.RebindFallbacks(); fb != 0 {
 			t.Fatalf("step %d: %d rebind fallbacks", step, fb)
 		}

@@ -20,7 +20,7 @@ import (
 // trade-off the paper accepts when exploiting near-undirectedness. Pairs
 // where the source is adjacent to the target are skipped; if the source is
 // adjacent to everything, its degree n-1 is returned.
-func UndirectedMin(g *graph.Digraph, algo maxflow.Algorithm) (int, error) {
+func UndirectedMin(g *graph.Digraph) (int, error) {
 	n := g.N()
 	if n <= 1 {
 		return 0, nil
@@ -31,16 +31,13 @@ func UndirectedMin(g *graph.Digraph, algo maxflow.Algorithm) (int, error) {
 	if g.IsComplete() {
 		return n - 1, nil
 	}
-	if algo == 0 {
-		algo = maxflow.Dinic
-	}
 	src := 0
 	for v := 1; v < n; v++ {
 		if g.OutDegree(v) < g.OutDegree(src) {
 			src = v
 		}
 	}
-	solver := algo.NewSolverSource(2*n, &unitEdgeSource{edges: graph.EvenEdges(g)})
+	solver := maxflow.NewDinicSource(2*n, &unitEdgeSource{edges: graph.EvenEdges(g)})
 	min := n - 1
 	found := false
 	for w := 0; w < n; w++ {

@@ -77,6 +77,10 @@ func TestReadDIMACSErrors(t *testing.T) {
 		{"bad pair comment", "p max 2 1\nc pair 1 x\na 1 2 1\n"},
 		{"unknown descriptor", "p max 2 1\nz 1 2\n"},
 		{"pair out of range", "p max 2 0\nc pair 1 9\n"},
+		{"self-loop", "p max 2 1\na 2 2 1\n"},
+		{"vertex count overflows int", "p max 9999999999999999999999 0\n"},
+		{"vertex count too large", "p max 9999999999999 0\n"},
+		{"even transform beyond int32", "p max 1073741824 0\n"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -1,6 +1,10 @@
 package graph
 
 import (
+	"bytes"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -168,4 +172,53 @@ func intsEqual(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// fuzzMaxVertices caps the vertex counts FuzzReadDIMACS feeds through:
+// a legal count up to MaxVertices allocates gigabytes of adjacency, which
+// says nothing about the parser. Counts above MaxVertices still run —
+// they exercise the rejection path without allocating.
+const fuzzMaxVertices = 1 << 16
+
+// FuzzReadDIMACS holds the DIMACS reader — a kadconn -in input — to its
+// contract on arbitrary bytes: it returns an error or a problem but never
+// panics, and an accepted problem is well formed (pairs in range and
+// distinct) and survives a WriteDIMACS/ReadDIMACS round trip unchanged.
+func FuzzReadDIMACS(f *testing.F) {
+	f.Add("p max 4 3\nn 1 s\nn 4 t\nc pair 2 4\na 1 2 1\na 2 3 1\na 3 4 1\n")
+	f.Add("p max 2 1\na 2 2 1\n")
+	f.Add("p max 9999999999999 0\n")
+	f.Add("c comment only\n")
+	f.Add("p max 3 0\nn 3 s\nn 3 t\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		for _, line := range strings.Split(in, "\n") {
+			if fields := strings.Fields(line); len(fields) == 4 && fields[0] == "p" {
+				if n, err := strconv.Atoi(fields[2]); err == nil && n > fuzzMaxVertices && n <= MaxVertices {
+					t.Skip("vertex count allocates beyond the fuzz budget")
+				}
+			}
+		}
+		prob, err := ReadDIMACS(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		g := prob.Graph
+		for _, p := range prob.Pairs {
+			if checkPair(g, p) != nil {
+				t.Fatalf("accepted invalid pair %v on %d vertices", p, g.N())
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteDIMACS(&buf, g, prob.Pairs...); err != nil {
+			t.Fatalf("accepted problem does not write back: %v", err)
+		}
+		back, err := ReadDIMACS(&buf)
+		if err != nil {
+			t.Fatalf("written problem does not read back: %v", err)
+		}
+		if !back.Graph.Equal(g) || !slices.Equal(back.Pairs, prob.Pairs) {
+			t.Fatalf("round trip changed the problem: %d/%d vertices, pairs %v -> %v",
+				g.N(), back.Graph.N(), prob.Pairs, back.Pairs)
+		}
+	})
 }

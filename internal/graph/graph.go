@@ -7,6 +7,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -19,6 +20,11 @@ type Digraph struct {
 	adj []map[int32]struct{} // adjacency sets, one per vertex
 	m   int
 }
+
+// MaxVertices is the largest vertex count a digraph may have: its Even
+// transform has 2n vertices, which the max-flow solvers address with
+// int32 indices. Readers of untrusted input reject larger counts.
+const MaxVertices = math.MaxInt32 / 2
 
 // NewDigraph returns an empty digraph with n vertices.
 func NewDigraph(n int) *Digraph {

@@ -5,7 +5,7 @@ import "fmt"
 // DinicSolver implements Dinic's blocking-flow algorithm. On unit-capacity
 // graphs — which is all the connectivity pipeline ever produces, since
 // Even's transformation keeps every capacity at 1 — it runs in
-// O(E*sqrt(V)), asymptotically better than push-relabel's bound. Its
+// O(E*sqrt(V)), asymptotically better than generic preflow-push. Its
 // MaxFlowLimit stops exactly at the cap (the flow counter rises one
 // augmenting path at a time), and its residual-reachability API is what
 // cut extraction needs — the cut-mode network is always Dinic. For the

@@ -12,15 +12,14 @@ import "fmt"
 //
 // The trick is orientation: the solver stores the graph REVERSED, so the
 // sweep's shared source s becomes the sink of every reversed query
-// (max-flow s->t in G equals max-flow t->s in reverse(G)). Push-relabel
-// computes its distance labels by a backward search from the sink — which
-// now never moves. PrepareSource(s) therefore runs that search ONCE per
+// (max-flow s->t in G equals max-flow t->s in reverse(G)). A preflow-push
+// solver computes its distance labels by a backward search from the sink
+// — which now never moves. PrepareSource(s) therefore runs that search ONCE per
 // source on the fresh residual; each per-sink query starts from the
 // cached labels with a handful of O(n) array restores and pays only for
-// the flow it actually routes. The per-query global relabel — 68% of
-// snapshot-analysis time under the warm-start push-relabel solver, and
-// the reason the ROADMAP called per-sink re-relabeling the throughput
-// floor — disappears from the per-sink cost entirely.
+// the flow it actually routes. A per-query global relabel, which
+// dominates a plain highest-label preflow-push sweep, disappears from the
+// per-sink cost entirely.
 //
 // Exactness per pair is preserved by isolation rather than sharing: each
 // query runs on a logically fresh residual, restored via undo logs (the
@@ -33,9 +32,9 @@ import "fmt"
 // the property tests assert equality against fresh Dinic solves pair by
 // pair.
 //
-// MaxFlowLimit may overshoot its limit (any value in [limit, true flow]),
-// like PushRelabelSolver: the early exit fires as soon as the root's
-// excess reaches the limit. Values below the limit are exact.
+// MaxFlowLimit may overshoot its limit (any value in [limit, true flow]):
+// the early exit fires as soon as the root's excess reaches the limit.
+// Values below the limit are exact.
 type HaoOrlinSolver struct {
 	st arcStore // REVERSED-orientation residual arcs
 
@@ -309,11 +308,10 @@ func (h *HaoOrlinSolver) MaxFlowLimit(s, t, limit int) int {
 	return int(h.excess[root])
 }
 
-// The bucket/discharge/relabel machinery below intentionally mirrors
-// PushRelabelSolver's (the HIPR core), with the s/t exclusions reduced to
-// the root and no rcap mirror (this solver relabels from scratch only
-// once per source). A fix to either copy — the gap lift, the
-// stale-bucket skip in popHighest — almost certainly applies to both.
+// The bucket/discharge/relabel machinery below is the highest-label
+// preflow-push core of Cherkassky & Goldberg's HIPR, with the s/t
+// exclusions reduced to the root (this solver relabels from scratch only
+// once per source).
 
 // activate inserts v into its height bucket and raises the highest-active
 // watermark.

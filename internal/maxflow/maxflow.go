@@ -1,22 +1,20 @@
-// Package maxflow implements maximum-flow solvers for the connectivity
+// Package maxflow implements the maximum-flow solvers of the connectivity
 // pipeline: Dinic's algorithm (asymptotically optimal on the unit-capacity
-// graphs produced by Even's transformation, O(E*sqrt(V))), a HIPR-style
-// highest-label push-relabel algorithm with gap and global-relabeling
-// heuristics, mirroring the solver the paper used (Cherkassky & Goldberg's
-// HIPR), and a Hao-Orlin-inspired fixed-root sweep solver (HaoOrlinSolver,
-// the connectivity engine's default) that amortizes the distance labels of
-// a one-source/all-sinks sweep to one search per source. The solvers are
-// reusable at four levels, extending the paper's modified HIPR — which was
-// rebuilt once per graph and answered many vertex-pair queries per
-// invocation:
+// graphs produced by Even's transformation, O(E*sqrt(V))), which extracts
+// minimum cuts and serves as the independent per-pair reference, and a
+// Hao-Orlin-inspired fixed-root sweep solver (HaoOrlinSolver, the
+// connectivity engine's default) that amortizes the distance labels of a
+// one-source/all-sinks sweep to one search per source. The paper ran a
+// modified HIPR, rebuilt once per graph and answering many vertex-pair
+// queries per invocation; any exact solver gives the same flow values.
+// The solvers here are reusable at four levels:
 //
 //   - across queries: a solver answers many (source, target) queries on
 //     its graph, restoring only the residual capacities each query touched
-//     (Dinic) instead of rewriting the whole capacity array;
-//   - across sources: PrepareSource caches the first-phase BFS level
-//     graph of a fixed source, which on a fresh residual is identical for
-//     every target (Dinic; a no-op for push-relabel, which searches from
-//     the sink);
+//     instead of rewriting the whole capacity array;
+//   - across sources: PrepareSource caches source-dependent state that is
+//     identical for every target on a fresh residual (Dinic's first-phase
+//     BFS level graph, the sweep solver's distance labels);
 //   - across graphs: Reset re-binds a solver to a new edge list in place,
 //     reusing every internal array whose capacity suffices, so sweeping
 //     analyses pay for allocation once per graph *shape* rather than once
@@ -78,8 +76,8 @@ type Solver interface {
 	Reset(n int, edges EdgeSource)
 	// PrepareSource hints that the following queries share source s,
 	// letting the solver cache source-dependent state that is valid for
-	// every target (Dinic caches the fresh-residual BFS level graph; the
-	// hint is a no-op for push-relabel). The cache is invalidated by
+	// every target (Dinic caches the fresh-residual BFS level graph, the
+	// sweep solver its distance labels). The cache is invalidated by
 	// Reset and by PrepareSource with a different source.
 	PrepareSource(s int)
 }
@@ -159,16 +157,12 @@ type MemoryCompactor interface {
 	Compact()
 }
 
-// Factory constructs a solver for a graph given as an edge list.
-type Factory func(n int, edges []Edge) Solver
-
 // Algorithm names a solver implementation.
 type Algorithm int
 
 // Available algorithms.
 const (
 	Dinic Algorithm = iota + 1
-	PushRelabel
 	HaoOrlin
 )
 
@@ -177,26 +171,10 @@ func (a Algorithm) String() string {
 	switch a {
 	case Dinic:
 		return "dinic"
-	case PushRelabel:
-		return "push-relabel"
 	case HaoOrlin:
 		return "hao-orlin"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
-
-// ParseAlgorithm converts a name to an Algorithm.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	switch s {
-	case "dinic":
-		return Dinic, nil
-	case "push-relabel", "pushrelabel", "hipr":
-		return PushRelabel, nil
-	case "hao-orlin", "haoorlin":
-		return HaoOrlin, nil
-	default:
-		return 0, fmt.Errorf("maxflow: unknown algorithm %q", s)
 	}
 }
 
@@ -209,8 +187,6 @@ func (a Algorithm) NewSolver(n int, edges []Edge) Solver {
 // EdgeSource.
 func (a Algorithm) NewSolverSource(n int, edges EdgeSource) Solver {
 	switch a {
-	case PushRelabel:
-		return NewPushRelabelSource(n, edges)
 	case HaoOrlin:
 		return NewHaoOrlinSource(n, edges)
 	default:
@@ -267,9 +243,7 @@ type arcStore struct {
 	// dirty records arcs whose residual capacity changed since the last
 	// reset, so resetTouched restores only what a query actually moved —
 	// augmenting a handful of unit paths instead of copying the whole
-	// capacity array. Only solvers that route every capacity mutation
-	// through touch (Dinic, HaoOrlin) may use resetTouched; push-relabel
-	// uses resetAll.
+	// capacity array. Every capacity mutation routes through touch.
 	dirty []int32
 	pos   []int32 // per-vertex scratch: init cursor, delta slack counting
 	// relocs counts arc-region relocations since the last init: each one
@@ -439,12 +413,6 @@ func (s *arcStore) resetTouched() {
 		r := s.rev[a]
 		s.cap[r] = s.cap0[r]
 	}
-	s.dirty = s.dirty[:0]
-}
-
-// resetAll restores every residual capacity to its original value.
-func (s *arcStore) resetAll() {
-	copy(s.cap, s.cap0)
 	s.dirty = s.dirty[:0]
 }
 

@@ -23,7 +23,7 @@ func randomUnitGraph(r *rand.Rand, n, m int) []Edge {
 func TestMaxFlowLimitConsistency(t *testing.T) {
 	// Properties: MaxFlowLimit with limit >= true flow equals MaxFlow;
 	// with limit < true flow it returns a value in [limit, true flow]
-	// for Dinic (exactly limit) and >= limit for push-relabel.
+	// for Dinic (exactly limit) and >= limit for the sweep solver.
 	r := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 30; trial++ {
 		n := 4 + r.Intn(20)

@@ -20,9 +20,8 @@ func TestRedensifyMatchesFresh(t *testing.T) {
 	n := 24
 	g, even := evenGraph(r, n, 4)
 	patched := map[string]Solver{
-		"dinic":        NewDinic(2*n, even),
-		"push-relabel": NewPushRelabel(2*n, even),
-		"hao-orlin":    NewHaoOrlin(2*n, even),
+		"dinic":     NewDinic(2*n, even),
+		"hao-orlin": NewHaoOrlin(2*n, even),
 	}
 	var removedPool []graph.Edge
 	for step := 0; step < 30; step++ {
@@ -124,7 +123,7 @@ func TestRedensifyAfterRelocation(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	n := 12
 	g, even := evenGraph(r, n, 2)
-	for _, algo := range []Algorithm{Dinic, PushRelabel, HaoOrlin} {
+	for _, algo := range []Algorithm{Dinic, HaoOrlin} {
 		s := algo.NewSolver(2*n, even)
 		var add EdgeSlice
 		edited := g.Clone()
@@ -281,9 +280,8 @@ func FuzzDiffApplyRedensify(f *testing.F) {
 			}
 		}
 		solvers := map[string]Solver{
-			"dinic":        NewDinic(2*n, unitEven(g)),
-			"push-relabel": NewPushRelabel(2*n, unitEven(g)),
-			"hao-orlin":    NewHaoOrlin(2*n, unitEven(g)),
+			"dinic":     NewDinic(2*n, unitEven(g)),
+			"hao-orlin": NewHaoOrlin(2*n, unitEven(g)),
 		}
 		batch := func() (EdgeSlice, EdgeSlice) {
 			var delta graph.Delta

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// Tests for the PR-3 reuse surfaces: in-place Reset across graphs,
-// Dinic's cached-source level graph, and push-relabel's same-source
-// warm-start. Every reuse path must be value-identical to a freshly
+// Tests for the reuse surfaces: in-place Reset across graphs,
+// Dinic's cached-source level graph, and the sweep solver's cached
+// distance labels. Every reuse path must be value-identical to a freshly
 // constructed solver.
 
 // randomCapGraph returns a random graph with mixed capacities 1..4.
@@ -62,7 +62,7 @@ func TestResetRebindsInPlace(t *testing.T) {
 }
 
 // TestPrepareSourceMatchesCold pins the per-source reuse paths (Dinic's
-// cached first-phase BFS, push-relabel's warm-started preflow): a sweep
+// cached first-phase BFS, the sweep solver's cached labels): a sweep
 // over every target after PrepareSource must return the same values as
 // fresh per-query solves, for exact and capped queries alike.
 func TestPrepareSourceMatchesCold(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"runtime"
 	"sync"
@@ -93,6 +94,11 @@ func (s *Server) handleArena(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
+// maxQueryBody bounds a /v1/query request body. A query spec, embedded
+// scenario spec included, is a few kilobytes; a body past this limit is
+// refused with 413 instead of being decoded into memory.
+const maxQueryBody = 1 << 20
+
 // handleQuery runs one adaptively replicated resilience query, streaming
 // a record per consumed replication and a final verdict record. All
 // simulation and analysis state flows through the arena, so repeating a
@@ -107,9 +113,15 @@ func (s *Server) handleArena(w http.ResponseWriter, _ *http.Request) {
 // status is spoken for and the failure goes out as an error record.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var spec QuerySpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorRecord{
+				Type: "error", Error: fmt.Sprintf("query body exceeds %d bytes", maxQueryBody)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorRecord{Type: "error", Error: "bad query spec: " + err.Error()})
 		return
 	}

@@ -226,6 +226,25 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
+// TestQueryBodyTooLarge pins the request-size bound: a body past
+// maxQueryBody is refused with 413 and the usual error record, before
+// any simulation runs.
+func TestQueryBodyTooLarge(t *testing.T) {
+	srv, ts := newTestServer(t)
+	spec := `{"scenario": {"scale": "tiny", "name": "` + strings.Repeat("x", maxQueryBody) + `"}, "threshold": 1}`
+	resp, body := postQuery(t, ts, spec, "")
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413 (%.200s)", resp.StatusCode, body)
+	}
+	recs := records(t, body)
+	if recs[0]["type"] != "error" || recs[0]["error"] == "" {
+		t.Fatalf("error record = %v", recs[0])
+	}
+	if st := srv.Arena().Stats(); st.Misses != 0 {
+		t.Fatalf("oversized query reached the arena: %+v", st)
+	}
+}
+
 func TestArenaAndHealthEndpoints(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/v1/healthz")

@@ -98,12 +98,17 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// ReadJSON parses a snapshot written by WriteJSON.
+// ReadJSON parses a snapshot written by WriteJSON. Malformed input —
+// including edges out of range, self-loops and more than
+// graph.MaxVertices nodes — returns an error; ReadJSON never panics.
 func ReadJSON(r io.Reader) (*Snapshot, error) {
 	var in jsonSnapshot
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("snapshot: read json: %w", err)
+	}
+	if len(in.Nodes) > graph.MaxVertices {
+		return nil, fmt.Errorf("snapshot: %d nodes exceed %d", len(in.Nodes), graph.MaxVertices)
 	}
 	s := &Snapshot{
 		Time:  time.Duration(in.TimeNS),
@@ -122,6 +127,9 @@ func ReadJSON(r io.Reader) (*Snapshot, error) {
 	for _, e := range in.Edges {
 		if e[0] < 0 || e[0] >= len(in.Nodes) || e[1] < 0 || e[1] >= len(in.Nodes) {
 			return nil, fmt.Errorf("snapshot: edge %v out of range", e)
+		}
+		if e[0] == e[1] {
+			return nil, fmt.Errorf("snapshot: edge %v is a self-loop", e)
 		}
 		s.Graph.AddEdge(e[0], e[1])
 	}

@@ -137,6 +137,7 @@ func TestReadJSONErrors(t *testing.T) {
 		{"garbage", "{"},
 		{"bad id hex", `{"bits":64,"nodes":[{"id":"zz","addr":1}],"edges":[]}`},
 		{"edge out of range", `{"bits":64,"nodes":[{"id":"0000000000000001","addr":1}],"edges":[[0,5]]}`},
+		{"self-loop", `{"bits":64,"nodes":[{"id":"0000000000000001","addr":1},{"id":"0000000000000002","addr":2}],"edges":[[1,1]]}`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -32,7 +32,6 @@ import (
 	"kadre/internal/graph"
 	"kadre/internal/id"
 	"kadre/internal/kademlia"
-	"kadre/internal/maxflow"
 	"kadre/internal/scenario"
 	"kadre/internal/simnet"
 	"kadre/internal/snapshot"
@@ -111,21 +110,13 @@ func NewNodeWithID(cfg NodeConfig, nodeID ID, addr Addr, net *Network) (*Node, e
 type (
 	// Graph is a directed connectivity graph.
 	Graph = graph.Digraph
-	// ConnectivityOptions configures the analyzer (sampling, algorithm,
+	// ConnectivityOptions configures an analysis (sampling, selection,
 	// workers).
 	ConnectivityOptions = connectivity.Options
 	// ConnectivityResult reports min/avg connectivity of one graph.
 	ConnectivityResult = connectivity.Result
-	// MaxflowAlgorithm selects Dinic or HIPR-style push-relabel.
-	MaxflowAlgorithm = maxflow.Algorithm
 	// Snapshot is a captured connectivity graph with node metadata.
 	Snapshot = snapshot.Snapshot
-)
-
-// Max-flow algorithm choices.
-const (
-	Dinic       = maxflow.Dinic
-	PushRelabel = maxflow.PushRelabel
 )
 
 // NewGraph returns an empty directed graph on n vertices.
@@ -133,21 +124,19 @@ func NewGraph(n int) *Graph { return graph.NewDigraph(n) }
 
 // AnalyzeConnectivity computes the vertex connectivity of a graph.
 func AnalyzeConnectivity(g *Graph, opts ConnectivityOptions) (ConnectivityResult, error) {
-	a, err := connectivity.NewAnalyzer(opts)
-	if err != nil {
-		return ConnectivityResult{}, err
-	}
-	return a.Analyze(g), nil
+	return connectivity.Analyze(g, opts)
 }
 
 // VertexConnectivity computes the exact kappa(D) with a full n(n-1) sweep.
 func VertexConnectivity(g *Graph) int {
-	return connectivity.MustNewAnalyzer(connectivity.Options{SampleFraction: 1.0, MinOnly: true}).Analyze(g).Min
+	eng := connectivity.MustNewEngine(connectivity.EngineOptions{})
+	eng.Bind(g)
+	return eng.Analyze(connectivity.Query{SampleFraction: 1.0, MinOnly: true}).Min
 }
 
 // PairConnectivity computes kappa(v, w) for one non-adjacent pair.
 func PairConnectivity(g *Graph, v, w int) (int, error) {
-	return connectivity.Pair(g, v, w, maxflow.Dinic)
+	return connectivity.Pair(g, v, w)
 }
 
 // Resilience converts a connectivity into the number of compromised nodes
