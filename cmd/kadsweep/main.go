@@ -21,20 +21,32 @@
 // interval per snapshot instant, both in the tables and as the dotted
 // band of the ASCII charts.
 //
+// Adversarial experiments — every run carries an attack block, like
+// -exp attack or a spec such as specs/attack_cutset.json — compare how
+// fast each adversary degrades the paper's resilience metrics per node
+// removed. kadsweep detects them from the experiment itself and renders
+// degradation charts (minimum connectivity and largest-SCC fraction vs
+// removed) with an attack summary table; their per-run CSVs carry the
+// degradation columns t_min,removed,n,edges,min_conn,avg_conn,scc_frac
+// and a <exp>_summary.csv compares the adversaries. Custom adversaries
+// (strategy, budget, kills, strike interval) are spec files.
+//
 // Flags:
 //
 //	-exp id       experiment to run (see -list), or 'all'
 //	-scenario f   scenario spec file (JSON) to run instead of -exp: the
 //	              versioned workload.Spec format composing churn, traffic,
 //	              attack and generative-workload knobs (see README
-//	              "scenario specs"; committed presets live under specs/)
+//	              "scenario specs"; committed presets live under specs/,
+//	              worked examples under examples/)
 //	-scale s      paper, reduced, tiny (default reduced); a spec file
 //	              may pin its own scale, which then wins
 //	-seed n       base seed (default 1)
 //	-reps r       seed replications per configuration (default 1)
 //	-jobs j       concurrent runs; 0 means GOMAXPROCS (default 0)
 //	-csv dir      write one CSV per run (and per-config aggregate CSVs
-//	              when -reps > 1)
+//	              when -reps > 1, or the summary CSV of an adversarial
+//	              experiment)
 //	-json dir     write one JSON document per experiment
 //	-checkpoint d persist every completed run to directory d and, on a
 //	              later invocation, replay finished runs from disk
@@ -58,7 +70,7 @@
 //
 //	{
 //	  "experiment": "figure2", "title": "...", "scale": "tiny",
-//	  "reps": 3, "jobs": 4,
+//	  "reps": 3,
 //	  "runs": [{
 //	    "name": "SimA/k=5", "base_seed": 1,
 //	    "size": 40, "k": 5, "churn": "0/1", "loss": "none", "traffic": false,
@@ -75,8 +87,8 @@
 //	}
 //
 // Statistics that are undefined (the CI of a single replication) encode
-// as null. Wall-clock timings are excluded, so the same sweep always
-// produces byte-identical JSON.
+// as null. Wall-clock timings and the worker count are excluded, so the
+// same sweep always produces byte-identical JSON.
 //
 // Examples:
 //
@@ -85,6 +97,8 @@
 //	kadsweep -exp figure2 -scale tiny
 //	kadsweep -exp figure2 -scale tiny -reps 3 -jobs 4
 //	kadsweep -exp figure6 -scale reduced -reps 5 -csv out/ -json out/
+//	kadsweep -exp attack -scale tiny -reps 3 -csv out/ -json out/
+//	kadsweep -scenario examples/attack_budget.json -scale tiny
 //	kadsweep -exp all -scale tiny
 package main
 
@@ -275,7 +289,8 @@ func sweepExperiments(exps []scenario.Experiment, opts options) error {
 	totalConfigs := 0
 	for i := range exps {
 		// The governance knobs apply to every run (adversaries inherit the
-		// policy for their recon engines through the scenario defaulting).
+		// policy for their recon slot tables and engines through the
+		// scenario defaulting).
 		for ci := range exps[i].Configs {
 			exps[i].Configs[ci].Governance = opts.gov
 		}
@@ -344,10 +359,8 @@ func sweepExperiments(exps []scenario.Experiment, opts options) error {
 			continue // incomplete: some run failed or was skipped
 		}
 		if opts.csvDir != "" {
-			for _, rs := range sets {
-				if err := writeCSVSet(opts.csvDir, rs); err != nil {
-					return err
-				}
+			if err := writeCSVs(opts.csvDir, exp, sets); err != nil {
+				return err
 			}
 		}
 		if opts.jsonDir != "" {
@@ -421,7 +434,21 @@ func runAdaptiveGroups(exps []scenario.Experiment, opts options, pooled bool) ([
 	return out, nil
 }
 
+// adversarial reports whether every run of exp carries an adversary: such
+// experiments render and export degradation-by-removal output.
+func adversarial(exp scenario.Experiment) bool {
+	for _, cfg := range exp.Configs {
+		if !cfg.Attack.Enabled() {
+			return false
+		}
+	}
+	return len(exp.Configs) > 0
+}
+
 func render(w io.Writer, exp scenario.Experiment, reps int, sets []*sweep.RunSet) error {
+	if adversarial(exp) {
+		return renderAttack(w, exp, reps, sets)
+	}
 	if reps > 1 {
 		return renderAggregated(w, exp, sets)
 	}
@@ -512,20 +539,34 @@ func csvName(name string) string {
 	return strings.NewReplacer("/", "_", "=", "").Replace(name)
 }
 
-// writeCSVSet writes one CSV per replication (rep 0 keeps the historical
-// file name) plus a per-config aggregate CSV when there are multiple reps.
-func writeCSVSet(dir string, rs *sweep.RunSet) error {
-	for rep, r := range rs.Reps {
-		name := csvName(rs.Config.Name)
-		if rep > 0 {
-			name = fmt.Sprintf("%s_r%d", name, rep)
+// writeCSVs writes one CSV per replication (rep 0 keeps the historical
+// file name). Adversarial experiments get the degradation schema plus a
+// cross-adversary <exp>_summary.csv; the others get a per-config
+// aggregate CSV when there are multiple reps.
+func writeCSVs(dir string, exp scenario.Experiment, sets []*sweep.RunSet) error {
+	attack := adversarial(exp)
+	write := writeCSV
+	if attack {
+		write = writeDegradationCSV
+	}
+	for _, rs := range sets {
+		for rep, r := range rs.Reps {
+			name := csvName(rs.Config.Name)
+			if rep > 0 {
+				name = fmt.Sprintf("%s_r%d", name, rep)
+			}
+			if err := write(filepath.Join(dir, name+".csv"), r); err != nil {
+				return err
+			}
 		}
-		if err := writeCSV(filepath.Join(dir, name+".csv"), r); err != nil {
-			return err
+		if !attack && len(rs.Reps) > 1 {
+			if err := writeAggCSV(filepath.Join(dir, csvName(rs.Config.Name)+"_agg.csv"), rs); err != nil {
+				return err
+			}
 		}
 	}
-	if len(rs.Reps) > 1 {
-		return writeAggCSV(filepath.Join(dir, csvName(rs.Config.Name)+"_agg.csv"), rs)
+	if attack {
+		return writeSummaryCSV(filepath.Join(dir, exp.ID+"_summary.csv"), sets)
 	}
 	return nil
 }
@@ -573,9 +614,7 @@ func writeJSONFile(dir string, exp scenario.Experiment, opts options, sets []*sw
 		return err
 	}
 	defer f.Close()
-	meta := sweep.JSONMeta{
-		Experiment: exp.ID, Title: exp.Title, Scale: opts.scale.Name, Jobs: opts.jobs,
-	}
+	meta := sweep.JSONMeta{Experiment: exp.ID, Title: exp.Title, Scale: opts.scale.Name}
 	if err := sweep.WriteJSON(f, meta, sets); err != nil {
 		return err
 	}

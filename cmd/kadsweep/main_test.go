@@ -157,27 +157,23 @@ func TestRunFigure2TinyEndToEnd(t *testing.T) {
 	}
 }
 
-// TestGoldenTinyFigure2 pins the numeric output of the tiny figure2
-// sweep byte for byte (the ROADMAP's "numeric regression pinning"):
-// simulator, analyzer, or sweep refactors that shift any measured value
-// fail here first. Regenerate with: go test ./cmd/kadsweep -run Golden
-// -update
-func TestGoldenTinyFigure2(t *testing.T) {
+// checkGolden runs kadsweep with args plus -quiet -json into a fresh
+// directory and compares the JSON document file against
+// testdata/golden byte for byte. With -update it rewrites the fixture
+// instead.
+func checkGolden(t *testing.T, file, golden string, args ...string) {
+	t.Helper()
 	dir := t.TempDir()
-	var buf bytes.Buffer
-	args := []string{"-exp", "figure2", "-scale", "tiny", "-jobs", "2", "-quiet", "-json", dir}
-	if err := run(args, &buf); err != nil {
+	args = append(args, "-quiet", "-json", dir)
+	if err := run(args, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(filepath.Join(dir, "figure2.json"))
+	got, err := os.ReadFile(filepath.Join(dir, file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "figure2_tiny.golden.json")
+	golden = filepath.Join("testdata", golden)
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -187,32 +183,81 @@ func TestGoldenTinyFigure2(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("tiny figure2 sweep drifted from golden fixture %s (run with -update to regenerate after intentional changes)", golden)
+		t.Fatalf("%v drifted from golden fixture %s (run with -update to regenerate after intentional changes)", args, golden)
 	}
 }
 
-// TestCheckpointFlag exercises -checkpoint end to end: the second
-// invocation replays all runs from disk and renders identically.
-func TestCheckpointFlag(t *testing.T) {
+// TestGoldenTinyFigure2 pins the numeric output of the tiny figure2
+// sweep byte for byte (the ROADMAP's "numeric regression pinning"):
+// simulator, analyzer, or sweep refactors that shift any measured value
+// fail here first. Regenerate with: go test ./cmd/kadsweep -run Golden
+// -update
+func TestGoldenTinyFigure2(t *testing.T) {
+	checkGolden(t, "figure2.json", "figure2_tiny.golden.json",
+		"-exp", "figure2", "-scale", "tiny", "-jobs", "2")
+}
+
+// TestGoldenTinyAttack pins the tiny four-strategy attack experiment
+// byte for byte: every adversary's victim log and degradation series.
+// Recon or selection refactors that move any victim fail here first.
+func TestGoldenTinyAttack(t *testing.T) {
+	checkGolden(t, "attack.json", "attack_tiny.golden.json",
+		"-exp", "attack", "-scale", "tiny", "-jobs", "2")
+}
+
+// checkCheckpointResume runs exp at tiny scale twice against one
+// -checkpoint directory: the second invocation must replay every run
+// from disk and render identically.
+func checkCheckpointResume(t *testing.T, exp string) {
+	t.Helper()
+	// Progress and "finished in" lines carry wall-clock timings.
+	trim := func(s string) string {
+		var keep []string
+		for _, line := range strings.Split(s, "\n") {
+			if !strings.HasPrefix(line, "  [") && !strings.HasPrefix(line, "--- ") {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
 	ckpt := t.TempDir()
 	var first, second bytes.Buffer
-	args := []string{"-exp", "figure2", "-scale", "tiny", "-checkpoint", ckpt}
+	args := []string{"-exp", exp, "-scale", "tiny", "-checkpoint", ckpt}
 	if err := run(args, &first); err != nil {
 		t.Fatal(err)
+	}
+	if strings.Contains(first.String(), "(checkpoint)") {
+		t.Fatalf("%s: first run claims checkpoint replays", exp)
 	}
 	if err := run(args, &second); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(second.String(), "(checkpoint)"); got != 4 {
-		t.Fatalf("second run replayed %d runs from checkpoints, want 4", got)
+		t.Fatalf("%s: second run replayed %d runs from checkpoints, want 4", exp, got)
 	}
 	files, err := filepath.Glob(filepath.Join(ckpt, "*.ckpt.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(files) != 4 {
-		t.Fatalf("got %d checkpoint files, want 4", len(files))
+		t.Fatalf("%s: got %d checkpoint files, want 4", exp, len(files))
 	}
+	if trim(first.String()) != trim(second.String()) {
+		t.Fatalf("%s: resumed rendering differs:\n--- fresh ---\n%s\n--- resumed ---\n%s", exp, first.String(), second.String())
+	}
+}
+
+// TestCheckpointFlag exercises -checkpoint end to end on a figure
+// experiment.
+func TestCheckpointFlag(t *testing.T) {
+	checkCheckpointResume(t, "figure2")
+}
+
+// TestCheckpointResumeFlag exercises -checkpoint end to end on the
+// adversarial experiment: victim logs and degradation series must come
+// back from disk unchanged.
+func TestCheckpointResumeFlag(t *testing.T) {
+	checkCheckpointResume(t, "attack")
 }
 
 func TestRunErrors(t *testing.T) {
@@ -232,6 +277,143 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-exp", "figure2", "-jobs", "-2"}, discard); err == nil {
 		t.Error("negative -jobs should fail")
 	}
+}
+
+// TestAttackRunErrors covers the adversary rejections: custom
+// adversaries are spec files, so a bad strategy fails resolution and a
+// bad budget fails decoding.
+func TestAttackRunErrors(t *testing.T) {
+	discard := &bytes.Buffer{}
+	for name, attack := range map[string]string{
+		"unknown strategy": `{"strategy": "klingon"}`,
+		"negative budget":  `{"strategy": "random", "budget": -5}`,
+	} {
+		spec := filepath.Join(t.TempDir(), "spec.json")
+		doc := `{"version": 1, "id": "bad", "runs": [{"name": "a", "attack": ` + attack + `}]}`
+		if err := os.WriteFile(spec, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"-scenario", spec, "-scale", "tiny"}, discard); err == nil {
+			t.Errorf("spec with %s should fail", name)
+		}
+	}
+}
+
+// TestAttackEndToEnd is the adversarial acceptance run: all four
+// strategies at tiny scale must produce byte-identical artefacts across
+// -jobs values, and the cutset adversary must degrade connectivity at
+// least as fast as the random baseline.
+func TestAttackEndToEnd(t *testing.T) {
+	sweepDir := func(jobs string) (string, string) {
+		dir := t.TempDir()
+		var buf bytes.Buffer
+		args := []string{"-exp", "attack", "-scale", "tiny", "-jobs", jobs, "-quiet", "-csv", dir, "-json", dir}
+		if err := run(args, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return dir, buf.String()
+	}
+	dir1, out := sweepDir("1")
+	dir2, _ := sweepDir("8")
+
+	// Rendering sanity: degradation axes and the summary table.
+	for _, want := range []string{"removed", "Attack summary", "minimum connectivity", "largest-SCC fraction"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+
+	// Byte-identical artefacts regardless of worker count.
+	files, err := filepath.Glob(filepath.Join(dir1, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 6 { // 4 per-strategy CSVs + attack_summary.csv + attack.json
+		t.Fatalf("got %d artefacts, want 6: %v", len(files), files)
+	}
+	for _, f1 := range files {
+		b1, err := os.ReadFile(f1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b2, err := os.ReadFile(filepath.Join(dir2, filepath.Base(f1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("%s differs between -jobs 1 and -jobs 8", filepath.Base(f1))
+		}
+	}
+	csv, err := os.ReadFile(filepath.Join(dir1, "Attack_cutset.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(csv), "t_min,removed,n,edges,min_conn,avg_conn,scc_frac\n") {
+		t.Fatalf("degradation csv header wrong: %q", strings.SplitN(string(csv), "\n", 2)[0])
+	}
+
+	// Compare strategies on the attack window: the cutset adversary's
+	// min-connectivity area must not exceed the random baseline's.
+	doc := readDoc(t, filepath.Join(dir1, "attack.json"))
+	if len(doc.Runs) != 4 {
+		t.Fatalf("got %d runs, want 4 strategies", len(doc.Runs))
+	}
+	area := map[string]float64{}
+	for _, run := range doc.Runs {
+		strategy := strings.TrimPrefix(run.Name, "Attack/")
+		if run.Attack == "" {
+			t.Fatalf("run %q missing attack description", run.Name)
+		}
+		rep := run.Reps[0]
+		if rep.AttackRemoved == 0 || len(rep.Victims) != rep.AttackRemoved {
+			t.Fatalf("run %q: removed %d, victim log %d", run.Name, rep.AttackRemoved, len(rep.Victims))
+		}
+		attacked := false
+		for _, p := range rep.Points {
+			if p.Removed > 0 {
+				attacked = true
+				area[strategy] += float64(p.Min)
+			}
+		}
+		if !attacked {
+			t.Fatalf("run %q has no post-attack snapshot", run.Name)
+		}
+	}
+	if area["cutset"] > area["random"] {
+		t.Fatalf("cutset min-connectivity area %.1f exceeds random baseline %.1f — the targeted adversary must degrade at least as fast",
+			area["cutset"], area["random"])
+	}
+}
+
+// TestBudgetIntervalOverride pins the spec's adversary arithmetic: a
+// coarse 15-minute strike interval leaves only 3 strikes in the tiny
+// window, and the kill count must be re-spread so the spec's budget is
+// still exhausted.
+func TestBudgetIntervalOverride(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-scenario", filepath.Join("..", "..", "examples", "attack_budget.json"),
+		"-scale", "tiny", "-quiet", "-json", dir}
+	if err := run(args, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	doc := readDoc(t, filepath.Join(dir, "attack-budget.json"))
+	if got := doc.Runs[0].Reps[0].AttackRemoved; got != 20 {
+		t.Fatalf("removed %d, want the full budget 20 despite the 15-minute interval", got)
+	}
+}
+
+// readDoc parses a sweep JSON document.
+func readDoc(t *testing.T, path string) sweep.JSONFile {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc sweep.JSONFile
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return doc
 }
 
 // TestRunPooledExperiments exercises the -exp all machinery through the
@@ -306,18 +488,9 @@ func TestCIStopAdaptiveSweep(t *testing.T) {
 			t.Fatalf("run %s consumed %d reps, want within [2, 4]", r.Name, len(r.Reps))
 		}
 	}
-	// Adaptive stop indices depend only on seeds and statistics: modulo
-	// the informational jobs field in the metadata, the serialized
-	// artefact is identical under a different -jobs.
-	_, doc1 := runOnce("1")
-	var file1 sweep.JSONFile
-	if err := json.Unmarshal(doc1, &file1); err != nil {
-		t.Fatal(err)
-	}
-	file.Jobs, file1.Jobs = 0, 0
-	norm, _ := json.Marshal(file)
-	norm1, _ := json.Marshal(file1)
-	if !bytes.Equal(norm, norm1) {
+	// Adaptive stop indices depend only on seeds and statistics, so the
+	// serialized artefact is identical under a different -jobs.
+	if _, doc1 := runOnce("1"); !bytes.Equal(doc, doc1) {
 		t.Fatal("adaptive JSON differs between -jobs 4 and -jobs 1")
 	}
 }
@@ -362,10 +535,10 @@ func TestGovernanceKnobs(t *testing.T) {
 }
 
 // TestScenarioSpecMatchesPreset is the headline acceptance criterion for
-// scenario specs: the committed specs/figure2.json, run through
-// -scenario, must emit byte-identical JSON to the compiled-in figure2
-// preset. Specs are an alternate front door to the same resolver, not a
-// parallel implementation.
+// scenario specs: a committed spec of a compiled-in preset, run through
+// -scenario, must emit byte-identical JSON to the preset. Specs are an
+// alternate front door to the same resolver, not a parallel
+// implementation.
 func TestScenarioSpecMatchesPreset(t *testing.T) {
 	sweepJSON := func(file string, args ...string) []byte {
 		dir := t.TempDir()
@@ -379,10 +552,41 @@ func TestScenarioSpecMatchesPreset(t *testing.T) {
 		}
 		return data
 	}
-	preset := sweepJSON("figure2.json", "-exp", "figure2")
-	spec := sweepJSON("figure2.json", "-scenario", filepath.Join("..", "..", "specs", "figure2.json"))
-	if !bytes.Equal(preset, spec) {
-		t.Fatalf("specs/figure2.json diverged from the compiled-in preset:\n--- preset ---\n%.2000s\n--- spec ---\n%.2000s", preset, spec)
+	spec := func(name string) string { return filepath.Join("..", "..", "specs", name+".json") }
+	for _, exp := range []string{"figure2", "figure6"} {
+		if exp == "figure6" && testing.Short() {
+			continue // traffic-bearing tiny sweeps take seconds per run
+		}
+		preset := sweepJSON(exp+".json", "-exp", exp)
+		got := sweepJSON(exp+".json", "-scenario", spec(exp))
+		if !bytes.Equal(preset, got) {
+			t.Fatalf("specs/%s.json diverged from the compiled-in preset:\n--- preset ---\n%.2000s\n--- spec ---\n%.2000s", exp, preset, got)
+		}
+	}
+
+	// specs/attack_cutset.json is one run of the attack preset: its run
+	// record must equal the preset's Attack/cutset run.
+	runRecord := func(doc []byte, name string) json.RawMessage {
+		var file struct{ Runs []json.RawMessage }
+		if err := json.Unmarshal(doc, &file); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range file.Runs {
+			var head struct{ Name string }
+			if err := json.Unmarshal(r, &head); err != nil {
+				t.Fatal(err)
+			}
+			if head.Name == name {
+				return r
+			}
+		}
+		t.Fatalf("no run %q in document", name)
+		return nil
+	}
+	preset := runRecord(sweepJSON("attack.json", "-exp", "attack"), "Attack/cutset")
+	got := runRecord(sweepJSON("attack-cutset.json", "-scenario", spec("attack_cutset")), "Attack/cutset")
+	if !bytes.Equal(preset, got) {
+		t.Fatalf("specs/attack_cutset.json diverged from the preset's Attack/cutset run:\n--- preset ---\n%.2000s\n--- spec ---\n%.2000s", preset, got)
 	}
 }
 
@@ -435,31 +639,10 @@ func TestScenarioFlagErrors(t *testing.T) {
 }
 
 // TestGoldenTinyFigure2DefaultJobs pins the default-jobs (-jobs 0)
-// variant of the tiny figure2 document — the bytes the CI scenario-spec
-// smoke step diffs its CLI runs against. Identical to the -jobs 2
-// fixture except the informational jobs field. Regenerate together with
-// the other goldens: go test ./cmd/kadsweep -run Golden -update
+// run against the same fixture as the -jobs 2 run: the document carries
+// no worker count, and the CI scenario-spec smoke step diffs its CLI
+// runs against these bytes.
 func TestGoldenTinyFigure2DefaultJobs(t *testing.T) {
-	dir := t.TempDir()
-	args := []string{"-exp", "figure2", "-scale", "tiny", "-quiet", "-json", dir}
-	if err := run(args, &bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(filepath.Join(dir, "figure2.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "figure2_tiny_jobs0.golden.json")
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("default-jobs tiny figure2 drifted from golden fixture %s (run with -update to regenerate after intentional changes)", golden)
-	}
+	checkGolden(t, "figure2.json", "figure2_tiny.golden.json",
+		"-exp", "figure2", "-scale", "tiny")
 }

@@ -104,11 +104,12 @@ type Config struct {
 	SampleFraction float64
 	// Workers bounds the Cutset analyzer's worker pool (0 = GOMAXPROCS).
 	Workers int
-	// Governance bounds the long-run memory of the Cutset strategy's
-	// recon engine and private slot table, applied after each strike
-	// (see connectivity.GovernancePolicy). Maintenance never changes
-	// victim selection. The zero value disables governance; the scenario
-	// runner passes its own policy down.
+	// Governance bounds the long-run memory of the adversary's private
+	// slot table (every strategy) and of the Cutset strategy's recon
+	// engine, applied after each strike (see
+	// connectivity.GovernancePolicy). Maintenance never changes victim
+	// selection. The zero value disables governance; the scenario runner
+	// passes its own policy down.
 	Governance connectivity.GovernancePolicy
 }
 
@@ -169,17 +170,14 @@ func (c Config) String() string {
 // into reconnaissance) and kill a specific node. The scenario population
 // implements it alongside the churn and traffic views.
 type Population interface {
-	// AttackSnapshot captures the current connectivity graph with node
-	// metadata, exactly as the measurement snapshots do.
-	AttackSnapshot() *snapshot.Snapshot
 	// AttackSlotSnapshot captures the current connectivity graph in
-	// stable-slot form, updating the given slot table. The cutset
-	// adversary reconnoiters this way: its strikes change membership by
-	// design, so only stable-slot captures let the recon engine rebind
-	// incrementally from strike to strike instead of rebuilding after
-	// every kill. The slot table is owned by the adversary (recon slots
-	// are its private numbering, independent of the measurement
-	// snapshots').
+	// stable-slot form, updating the given slot table. Every strategy
+	// reconnoiters this way; the cutset adversary's strikes change
+	// membership by design, so only stable-slot captures let its recon
+	// engine rebind incrementally from strike to strike instead of
+	// rebuilding after every kill. The slot table is owned by the
+	// adversary (recon slots are its private numbering, independent of
+	// the measurement snapshots').
 	AttackSlotSnapshot(idx *snapshot.SlotIndex) *snapshot.SlotSnapshot
 	// RemoveNode makes the live node at addr leave silently; it reports
 	// false when no live node has that address.
@@ -212,10 +210,12 @@ type Engine struct {
 	// strategies, which need no flow analysis). connBinder routes every
 	// consecutive stable-slot capture — the adversary's own strikes and
 	// the interleaved churn included — through the incremental rebind
-	// path, keyed on the engine's private slot table.
+	// path, keyed on the adversary's slot table.
 	conn       *connectivity.Engine
 	connBinder *connectivity.IncrementalBinder
-	connSlots  snapshot.SlotIndex
+	// slots is the adversary's private slot table, shared by every
+	// strategy's reconnaissance captures.
+	slots snapshot.SlotIndex
 
 	victims []Victim
 	strikes int
@@ -290,10 +290,9 @@ func (e *Engine) budgetLeft() int {
 }
 
 // strike executes one attack round: snapshot, select, remove, re-arm.
-// The cutset strategy reconnoiters in stable-slot form, so its flow
-// engine rebinds incrementally across its own removals; every other
-// strategy uses the dense capture. The slot capture's rank numbering IS
-// the dense capture's numbering, so victims index Addrs/IDs alike.
+// Every strategy reconnoiters in stable-slot form; the capture's rank
+// numbering is the dense capture's numbering, so victims index the
+// capture's Addrs/IDs directly.
 func (e *Engine) strike() {
 	now := e.sim.Now()
 	if now >= e.until || e.budgetLeft() <= 0 {
@@ -301,48 +300,35 @@ func (e *Engine) strike() {
 	}
 	e.strikes++
 
-	var (
-		n     int
-		addrs []simnet.Addr
-		ids   []id.ID
-		pick  func(count int) []int
-	)
-	if e.cfg.Strategy == Cutset {
-		ss := e.pop.AttackSlotSnapshot(&e.connSlots)
-		n, addrs, ids = ss.N(), ss.Addrs, ss.IDs
-		pick = func(count int) []int { return e.selectCutset(ss, count) }
-	} else {
-		s := e.pop.AttackSnapshot()
-		n, addrs, ids = s.N(), s.Addrs, s.IDs
-		pick = func(count int) []int { return e.selectVictims(s, count) }
-	}
+	s := e.pop.AttackSlotSnapshot(&e.slots)
 	count := e.cfg.Kills
 	if left := e.budgetLeft(); count > left {
 		count = left
 	}
 	// Never kill the network outright: the adversary leaves at least two
 	// nodes standing, so post-strike snapshots remain analyzable.
-	if floor := n - 2; count > floor {
+	if floor := s.N() - 2; count > floor {
 		count = floor
 	}
 	if count > 0 {
-		for _, v := range pick(count) {
-			if e.pop.RemoveNode(addrs[v]) {
-				e.victims = append(e.victims, Victim{Time: now, Addr: addrs[v], ID: ids[v]})
+		for _, v := range e.selectVictims(s, count) {
+			if e.pop.RemoveNode(s.Addrs[v]) {
+				e.victims = append(e.victims, Victim{Time: now, Addr: s.Addrs[v], ID: s.IDs[v]})
 			}
 		}
 	}
 
-	// Post-strike memory governance for the recon engine: strikes are THE
-	// membership churn of this engine, so without maintenance its solver
-	// arc stores and slot table only ever grow. Compacting the slot table
-	// renumbers the recon slot space; the next capture re-binds from
-	// scratch through the binder's fallback, with identical selections.
+	// Post-strike memory governance: strikes are THE membership churn of
+	// the adversary, so without maintenance its slot table (and the
+	// cutset recon engine's solver arc stores) only ever grow. Compacting
+	// the slot table renumbers the recon slot space; the next cutset
+	// capture re-binds from scratch through the binder's fallback, with
+	// identical selections.
 	if e.conn != nil {
 		e.conn.Maintain()
-		if e.cfg.Governance.SlotCompactionDue(e.connSlots.Len(), e.connSlots.Live()) {
-			e.connSlots.Compact()
-		}
+	}
+	if e.cfg.Governance.SlotCompactionDue(e.slots.Len(), e.slots.Live()) {
+		e.slots.Compact()
 	}
 
 	if next := now + e.cfg.Interval; next < e.until && e.budgetLeft() > 0 {

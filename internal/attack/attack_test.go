@@ -1,11 +1,12 @@
 package attack
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"kadre/internal/connectivity"
 	"kadre/internal/eventsim"
-	"kadre/internal/graph"
 	"kadre/internal/id"
 	"kadre/internal/simnet"
 	"kadre/internal/snapshot"
@@ -30,36 +31,6 @@ func newFakePop(sim *eventsim.Simulator, n int, edges [][2]int) *fakePop {
 }
 
 func (p *fakePop) addrOf(v int) simnet.Addr { return simnet.Addr(v + 1) }
-
-func (p *fakePop) AttackSnapshot() *snapshot.Snapshot {
-	var live []int
-	remap := make(map[int]int)
-	for v, a := range p.alive {
-		if a {
-			remap[v] = len(live)
-			live = append(live, v)
-		}
-	}
-	s := &snapshot.Snapshot{
-		Time:  p.sim.Now(),
-		IDs:   make([]id.ID, len(live)),
-		Addrs: make([]simnet.Addr, len(live)),
-		Graph: graph.NewDigraph(len(live)),
-	}
-	for i, v := range live {
-		s.IDs[i] = id.FromUint64(p.bits, uint64(v))
-		s.Addrs[i] = p.addrOf(v)
-	}
-	for _, e := range p.edges {
-		u, uok := remap[e[0]]
-		v, vok := remap[e[1]]
-		if uok && vok {
-			s.Graph.AddEdge(u, v)
-			s.Graph.AddEdge(v, u)
-		}
-	}
-	return s
-}
 
 // AttackSlotSnapshot captures the surviving subgraph in stable-slot
 // form through the production capture core, keyed by address.
@@ -326,6 +297,28 @@ func TestNonCutsetStrategiesSkipAnalysisEngine(t *testing.T) {
 		}, 12, ring(12))
 		if eng.conn != nil {
 			t.Fatalf("strategy %s needlessly built a connectivity engine", strat)
+		}
+	}
+}
+
+func TestSlotCompactionKeepsVictims(t *testing.T) {
+	// 20 of 30 vertices die one per strike, so the vacant slots outgrow
+	// half the live population partway through and the default policy
+	// compacts the shared recon slot table; selections must not notice.
+	const n = 30
+	for _, strat := range []Strategy{Random, Degree, Eclipse} {
+		cfg := Config{Strategy: strat, Budget: 20, Kills: 1, Interval: time.Minute}
+		plain, _ := runAttack(t, 3, cfg, n, ring(n))
+		cfg.Governance = connectivity.DefaultGovernance()
+		governed, _ := runAttack(t, 3, cfg, n, ring(n))
+		if plain.slots.Len() != n {
+			t.Fatalf("%s: ungoverned slot table has %d slots, want %d", strat, plain.slots.Len(), n)
+		}
+		if governed.slots.Len() >= n {
+			t.Fatalf("%s: governed slot table never compacted (%d slots)", strat, governed.slots.Len())
+		}
+		if len(governed.Victims()) != 20 || !slices.Equal(governed.Victims(), plain.Victims()) {
+			t.Fatalf("%s: compaction changed the victim log:\n%+v\nvs\n%+v", strat, governed.Victims(), plain.Victims())
 		}
 	}
 }

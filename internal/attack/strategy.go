@@ -13,53 +13,31 @@ import (
 // label keeps unconfigured eclipse runs deterministic.
 const eclipseTargetLabel = "kadre/attack/eclipse-target"
 
-// selectVictims returns up to count distinct vertex indexes of s to
-// remove, according to the engine's strategy. Every strategy is
-// deterministic given the snapshot (and, for Random, the simulator's
-// seeded generator), so attack runs replay exactly under a seed.
-func (e *Engine) selectVictims(s *snapshot.Snapshot, count int) []int {
-	if count > s.N() {
-		count = s.N()
-	}
-	if count <= 0 {
-		return nil
-	}
+// selectVictims returns count distinct rank indexes of the slot capture
+// s to remove, according to the engine's strategy; strike keeps count
+// within [1, s.N()-2]. Every strategy is deterministic given the capture
+// (and, for Random, the simulator's seeded generator), so attack runs
+// replay exactly under a seed.
+func (e *Engine) selectVictims(s *snapshot.SlotSnapshot, count int) []int {
 	switch e.cfg.Strategy {
 	case Random:
 		return selectRandom(s, count, e.sim.Rand())
 	case Degree:
-		return selectDegree(s, count)
+		return selectDegreeRanks(s, count)
+	case Cutset:
+		return e.selectCutset(s, count)
 	case Eclipse:
 		return e.selectEclipse(s, count)
 	default:
-		return nil // unreachable: strike routes Cutset to selectCutset, NewEngine validates the rest
+		return nil // unreachable: NewEngine validates the strategy
 	}
 }
 
-// selectRandom picks count distinct vertices uniformly from the seeded
+// selectRandom picks count distinct ranks uniformly from the seeded
 // generator — the baseline comparable to the paper's random churn, but on
 // the adversary's schedule.
-func selectRandom(s *snapshot.Snapshot, count int, rng *rand.Rand) []int {
+func selectRandom(s *snapshot.SlotSnapshot, count int, rng *rand.Rand) []int {
 	return rng.Perm(s.N())[:count]
-}
-
-// selectDegree picks the count vertices with the largest total degree
-// (out plus in), ties broken by vertex index so runs are deterministic.
-func selectDegree(s *snapshot.Snapshot, count int) []int {
-	in := s.Graph.InDegrees()
-	order := make([]int, s.N())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		da := s.Graph.OutDegree(order[a]) + in[order[a]]
-		db := s.Graph.OutDegree(order[b]) + in[order[b]]
-		if da != db {
-			return da > db
-		}
-		return order[a] < order[b]
-	})
-	return order[:count]
 }
 
 // selectCutset picks vertices on a minimum vertex cut of a stable-slot
@@ -76,9 +54,6 @@ func selectDegree(s *snapshot.Snapshot, count int) []int {
 // (complete, or a sample with no evaluable pair) falls back to the
 // degree order entirely.
 func (e *Engine) selectCutset(s *snapshot.SlotSnapshot, count int) []int {
-	if count > s.N() {
-		count = s.N()
-	}
 	e.connBinder.BindNextSlots(s.Graph, s.Order)
 	cut, _, ok, err := e.conn.GraphCut(connectivity.Query{
 		SampleFraction: e.cfg.SampleFraction,
@@ -107,10 +82,9 @@ func (e *Engine) selectCutset(s *snapshot.SlotSnapshot, count int) []int {
 	return out
 }
 
-// selectDegreeRanks mirrors selectDegree on a slot capture: ranks
-// ordered by total slot-graph degree (out plus in), ties broken by rank
-// — the same ordering selectDegree produces on the dense capture, since
-// rank numbering IS the dense numbering.
+// selectDegreeRanks picks the count ranks with the largest total
+// slot-graph degree (out plus in), ties broken by rank so runs are
+// deterministic.
 func selectDegreeRanks(s *snapshot.SlotSnapshot, count int) []int {
 	in := s.Graph.InDegrees()
 	order := make([]int, s.N())
@@ -132,7 +106,7 @@ func selectDegreeRanks(s *snapshot.SlotSnapshot, count int) []int {
 // selectEclipse picks the count vertices whose identifiers are closest to
 // the target under the XOR metric, erasing the nodes responsible for the
 // target's keyspace region.
-func (e *Engine) selectEclipse(s *snapshot.Snapshot, count int) []int {
+func (e *Engine) selectEclipse(s *snapshot.SlotSnapshot, count int) []int {
 	if e.target.IsZeroValue() {
 		e.target = id.Hash(s.IDs[0].Bits(), []byte(eclipseTargetLabel))
 	}

@@ -132,7 +132,7 @@ func TestAttackMeasurements(t *testing.T) {
 }
 
 // TestStrikesInAndKills pins the window arithmetic the presets and the
-// kadattack overrides share.
+// spec files' budget and interval overrides share.
 func TestStrikesInAndKills(t *testing.T) {
 	if got := StrikesIn(40*time.Minute, 5*time.Minute); got != 8 {
 		t.Fatalf("StrikesIn(40m, 5m) = %d, want 8 (strikes at 2.5, 7.5, ..., 37.5)", got)

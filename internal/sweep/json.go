@@ -21,7 +21,6 @@ type JSONFile struct {
 	Title      string    `json:"title"`
 	Scale      string    `json:"scale,omitempty"`
 	Reps       int       `json:"reps"`
-	Jobs       int       `json:"jobs,omitempty"`
 	Runs       []JSONRun `json:"runs"`
 }
 
@@ -56,9 +55,9 @@ type JSONRep struct {
 	WorkloadJoins  int          `json:"workload_joins,omitempty"`
 	WorkloadLeaves int          `json:"workload_leaves,omitempty"`
 	AttackRemoved  int          `json:"attack_removed,omitempty"`
-	Victims       []JSONVictim `json:"victims,omitempty"`
-	MsgSent       uint64       `json:"msg_sent"`
-	MsgLost       uint64       `json:"msg_lost"`
+	Victims        []JSONVictim `json:"victims,omitempty"`
+	MsgSent        uint64       `json:"msg_sent"`
+	MsgLost        uint64       `json:"msg_lost"`
 	// Memory reports the run's memory-governance outcome; absent when
 	// governance was disabled for the run.
 	Memory *JSONMemory `json:"memory,omitempty"`
@@ -141,12 +140,11 @@ func aggPoints(a *stats.AggregateSeries) []JSONAggPoint {
 	return out
 }
 
-// JSONMeta labels a document; Scale and Jobs are informational only.
+// JSONMeta labels a document; Scale is informational only.
 type JSONMeta struct {
 	Experiment string
 	Title      string
 	Scale      string
-	Jobs       int
 }
 
 // BuildJSON assembles the document for a finished sweep.
@@ -155,7 +153,6 @@ func BuildJSON(meta JSONMeta, sets []*RunSet) *JSONFile {
 		Experiment: meta.Experiment,
 		Title:      meta.Title,
 		Scale:      meta.Scale,
-		Jobs:       meta.Jobs,
 		Runs:       make([]JSONRun, 0, len(sets)),
 	}
 	for _, rs := range sets {
@@ -182,9 +179,9 @@ func BuildJSON(meta JSONMeta, sets []*RunSet) *JSONFile {
 				WorkloadJoins:  r.WorkloadJoins,
 				WorkloadLeaves: r.WorkloadLeaves,
 				AttackRemoved:  r.AttackRemoved,
-				MsgSent:       r.Network.Sent,
-				MsgLost:       r.Network.Lost,
-				Points:        make([]JSONPoint, 0, len(r.Points)),
+				MsgSent:        r.Network.Sent,
+				MsgLost:        r.Network.Lost,
+				Points:         make([]JSONPoint, 0, len(r.Points)),
 			}
 			if cfg.Governance.Enabled() {
 				rep.Memory = &JSONMemory{
