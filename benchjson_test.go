@@ -47,10 +47,11 @@ type benchTrajectoryFile struct {
 }
 
 // TestBenchTrajectory seeds the performance trajectory: it runs the
-// snapshot-analysis benchmarks, both max-flow solver benchmarks, and
-// one figure regeneration at tiny scale, then writes ns/op and allocs/op
-// to BENCH_<date>.json. Skipped unless -benchjson is set, so the regular
-// test suite stays benchmark-free.
+// snapshot-analysis benchmarks, both max-flow solver benchmarks, the
+// traffic-free Figure 2 and the traffic-bearing Figure 4 at tiny scale,
+// and a 20-minute simulation of a 100-node network with traffic, then
+// writes ns/op and allocs/op to BENCH_<date>.json. Skipped unless
+// -benchjson is set, so the regular test suite stays benchmark-free.
 func TestBenchTrajectory(t *testing.T) {
 	if *benchJSONOut == "" {
 		t.Skip("bench trajectory disabled; pass -args -benchjson <dir|file.json> to enable")
@@ -68,6 +69,8 @@ func TestBenchTrajectory(t *testing.T) {
 		{"ChurnSequence/members-rebind-haoorlin", memberChurnSequenceBench(true, maxflow.HaoOrlin)},
 		{"ChurnSequence/members-bind-haoorlin", memberChurnSequenceBench(false, maxflow.HaoOrlin)},
 		{"Figure2SimA", func(b *testing.B) { benchFigure(b, scenario.Scale.Figure2) }},
+		{"Figure4SimC", BenchmarkFigure4SimC},
+		{"SimulationMinute", BenchmarkSimulationMinute},
 	}
 	doc := benchTrajectoryFile{
 		Date:       time.Now().UTC().Format("2006-01-02"),

@@ -1,5 +1,5 @@
 // Package eventsim provides a deterministic discrete-event simulation
-// kernel: a virtual clock, a binary-heap event queue, cancellable timers,
+// kernel: a virtual clock, a 4-ary-heap event queue, cancellable timers,
 // and a seeded random number generator. It replaces PeerSim's event-driven
 // engine from the paper. All state is single-goroutine; the kernel itself
 // never spawns goroutines, which makes every run exactly reproducible from
@@ -7,7 +7,6 @@
 package eventsim
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"math/rand"
@@ -30,10 +29,9 @@ const DefaultCancelBatch = 256
 type Simulator struct {
 	now       time.Duration
 	seq       uint64 // tie-breaker so equal-time events run in schedule order
-	queue     eventQueue
+	queue     []*Timer
 	rng       *rand.Rand
 	processed uint64
-	cancelled uint64
 	stopped   bool
 
 	cancelCtx   context.Context
@@ -41,57 +39,90 @@ type Simulator struct {
 	cancelErr   error
 }
 
-// Timer is a handle to a scheduled event. Cancel prevents a pending event
-// from firing; cancelling an already-fired or already-cancelled timer is a
-// no-op.
+// Timer is a scheduled event and the handle to it. Cancel prevents a
+// pending event from firing; cancelling an already-fired or
+// already-cancelled timer is a no-op.
 type Timer struct {
-	ev *event
+	at  time.Duration
+	seq uint64
+	fn  func() // nil once fired or cancelled
 }
 
 // Cancel prevents the timer's event from firing. It reports whether the
 // event was still pending.
 func (t *Timer) Cancel() bool {
-	if t == nil || t.ev == nil || t.ev.fn == nil {
+	if t == nil || t.fn == nil {
 		return false
 	}
-	t.ev.fn = nil
+	t.fn = nil
 	return true
 }
 
 // Pending reports whether the timer's event has neither fired nor been
 // cancelled.
 func (t *Timer) Pending() bool {
-	return t != nil && t.ev != nil && t.ev.fn != nil
+	return t != nil && t.fn != nil
 }
 
-type event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before is the queue order: by time, then by schedule sequence. seq is
+// unique, so the order is total and the firing order does not depend on
+// the heap's shape.
+func (t *Timer) before(u *Timer) bool {
+	if t.at != u.at {
+		return t.at < u.at
 	}
-	return q[i].seq < q[j].seq
+	return t.seq < u.seq
 }
 
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+// push adds t to the 4-ary min-heap s.queue.
+func (s *Simulator) push(t *Timer) {
+	q := append(s.queue, t)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !t.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = t
+	s.queue = q
+}
 
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+// pop removes and returns the earliest timer of the non-empty queue.
+func (s *Simulator) pop() *Timer {
+	q := s.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	s.queue = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		// Smallest of up to four children.
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if q[j].before(q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(last) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = last
+	return top
 }
 
 // New returns a simulator whose random number generator is seeded with seed.
@@ -170,10 +201,10 @@ func (s *Simulator) ScheduleAt(at time.Duration, fn func()) (*Timer, error) {
 	if fn == nil {
 		return nil, errors.New("eventsim: nil event function")
 	}
-	ev := &event{at: at, seq: s.seq, fn: fn}
+	t := &Timer{at: at, seq: s.seq, fn: fn}
 	s.seq++
-	heap.Push(&s.queue, ev)
-	return &Timer{ev: ev}, nil
+	s.push(t)
+	return t, nil
 }
 
 // MustSchedule is Schedule for call sites that control the delay and accept
@@ -190,14 +221,13 @@ func (s *Simulator) MustSchedule(delay time.Duration, fn func()) *Timer {
 // reports whether an event fired; cancelled events are skipped silently.
 func (s *Simulator) Step() bool {
 	for len(s.queue) > 0 {
-		ev := heap.Pop(&s.queue).(*event)
-		if ev.fn == nil {
-			s.cancelled++
+		t := s.pop()
+		if t.fn == nil {
 			continue
 		}
-		s.now = ev.at
-		fn := ev.fn
-		ev.fn = nil
+		s.now = t.at
+		fn := t.fn
+		t.fn = nil
 		fn()
 		s.processed++
 		return true
@@ -252,8 +282,7 @@ func (s *Simulator) Stop() { s.stopped = true }
 func (s *Simulator) peek() (time.Duration, bool) {
 	for len(s.queue) > 0 {
 		if s.queue[0].fn == nil {
-			heap.Pop(&s.queue)
-			s.cancelled++
+			s.pop()
 			continue
 		}
 		return s.queue[0].at, true

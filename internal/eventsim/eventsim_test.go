@@ -1,6 +1,8 @@
 package eventsim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -230,5 +232,115 @@ func TestManyEventsHeapStress(t *testing.T) {
 	}
 	if count != n {
 		t.Fatalf("processed %d, want %d", count, n)
+	}
+}
+
+// TestHeapOrderMatchesReference drives the kernel with a random mix of
+// schedules (many equal times), cancels and steps, and checks every step
+// against a model that fires the earliest live (at, seq) event and reaps
+// cancelled events only as they reach the front.
+func TestHeapOrderMatchesReference(t *testing.T) {
+	type ref struct {
+		at        time.Duration
+		seq       int
+		cancelled bool
+		timer     *Timer
+	}
+	r := rand.New(rand.NewSource(9))
+	s := New(1)
+	var model []*ref // not yet popped by the kernel
+	fired := -1
+	var processed uint64
+	for op := 0; op < 20000; op++ {
+		switch x := r.Intn(10); {
+		case x < 5:
+			seq := op
+			at := s.Now() + time.Duration(r.Intn(8))*time.Millisecond
+			e := &ref{at: at, seq: seq}
+			e.timer = s.MustSchedule(at-s.Now(), func() { fired = seq })
+			model = append(model, e)
+		case x < 7:
+			if len(model) == 0 {
+				continue
+			}
+			e := model[r.Intn(len(model))]
+			if got := e.timer.Cancel(); got == e.cancelled {
+				t.Fatalf("op %d: Cancel() = %v on an event cancelled=%v", op, got, e.cancelled)
+			}
+			e.cancelled = true
+		default:
+			sort.Slice(model, func(i, j int) bool {
+				if model[i].at != model[j].at {
+					return model[i].at < model[j].at
+				}
+				return model[i].seq < model[j].seq
+			})
+			next := -1
+			for i, e := range model {
+				if !e.cancelled {
+					next = i
+					break
+				}
+			}
+			stepped := s.Step()
+			if next < 0 {
+				if stepped {
+					t.Fatalf("op %d: Step fired event %d, model has none live", op, fired)
+				}
+				model = model[:0]
+			} else {
+				want := model[next]
+				if !stepped || fired != want.seq || s.Now() != want.at {
+					t.Fatalf("op %d: fired %d at %v, want %d at %v", op, fired, s.Now(), want.seq, want.at)
+				}
+				if want.timer.Pending() {
+					t.Fatalf("op %d: fired timer still pending", op)
+				}
+				processed++
+				model = model[next+1:]
+			}
+		}
+		if s.Pending() != len(model) || s.Processed() != processed {
+			t.Fatalf("op %d: Pending %d Processed %d, want %d and %d",
+				op, s.Pending(), s.Processed(), len(model), processed)
+		}
+	}
+}
+
+// TestScheduleStepAllocs pins the kernel's cost per event: the timer,
+// which is also the queue entry, is the only allocation.
+func TestScheduleStepAllocs(t *testing.T) {
+	s := New(1)
+	fn := func() {}
+	const batch = 100
+	allocs := testing.AllocsPerRun(50, func() {
+		for i := 0; i < batch; i++ {
+			s.MustSchedule(time.Duration(s.Rand().Intn(1000))*time.Millisecond, fn)
+		}
+		for s.Step() {
+		}
+	})
+	if allocs != batch {
+		t.Fatalf("%v allocations per %d scheduled events, want one each", allocs, batch)
+	}
+}
+
+// BenchmarkScheduleStep measures one schedule plus one pop against a
+// queue holding 4096 pending events.
+func BenchmarkScheduleStep(b *testing.B) {
+	s := New(1)
+	fn := func() {}
+	delays := make([]time.Duration, 1024)
+	for i := range delays {
+		delays[i] = time.Duration(s.Rand().Intn(1000)) * time.Millisecond
+	}
+	for i := 0; i < 4096; i++ {
+		s.MustSchedule(delays[i%len(delays)], fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.MustSchedule(delays[i%len(delays)], fn)
+		s.Step()
 	}
 }

@@ -213,7 +213,15 @@ func (a ID) BitLen() int {
 // returns -1 when a == b, which belongs to no bucket. The highest bucket
 // index is a.Bits()-1 and covers half of the identifier space.
 func (a ID) BucketIndex(b ID) int {
-	return a.Distance(b).BitLen() - 1
+	mustSameBits(a, b)
+	// Word-wise over the zero-padded data array: a word starting at byte
+	// i has its top bit at position a.bits-8i-1 of the distance.
+	for i := 0; i < a.bits/8; i += 8 {
+		if x := a.word(i) ^ b.word(i); x != 0 {
+			return a.bits - 8*i - bits.LeadingZeros64(x) - 1
+		}
+	}
+	return -1
 }
 
 // CloserTo reports whether a is strictly closer to target than b is, under
@@ -221,18 +229,29 @@ func (a ID) BucketIndex(b ID) int {
 func (a ID) CloserTo(target, b ID) bool {
 	mustSameBits(a, b)
 	mustSameBits(a, target)
-	// Compare a^target with b^target byte-wise without allocating.
-	for i := 0; i < a.bits/8; i++ {
-		da := a.data[i] ^ target.data[i]
-		db := b.data[i] ^ target.data[i]
-		switch {
-		case da < db:
-			return true
-		case da > db:
-			return false
+	// Compare a^target with b^target word-wise without allocating; the
+	// bytes past a.bits/8 are zero in every identifier, so a partial last
+	// word compares equal there.
+	for i := 0; i < a.bits/8; i += 8 {
+		t := target.word(i)
+		da, db := a.word(i)^t, b.word(i)^t
+		if da != db {
+			return da < db
 		}
 	}
 	return false
+}
+
+// Prefix64 returns the identifier's leading 64 bits, zero-padded when it
+// is shorter. a.Prefix64() ^ b.Prefix64() is the leading word of
+// dist(a, b): for a fixed target, a smaller word means a strictly closer
+// identifier, and equal words need CloserTo to decide.
+func (a ID) Prefix64() uint64 { return a.word(0) }
+
+// word returns the big-endian 64-bit word starting at byte i of the data
+// array; i+8 never exceeds MaxBytes because MaxBytes is a multiple of 8.
+func (a ID) word(i int) uint64 {
+	return binary.BigEndian.Uint64(a.data[i : i+8])
 }
 
 // RandomInBucket returns a uniformly random identifier that would land in

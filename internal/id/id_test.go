@@ -307,3 +307,32 @@ func TestIsZeroValue(t *testing.T) {
 		t.Error("a constructed id is not the zero value")
 	}
 }
+
+// TestWordwiseMetricMatchesDistance checks the word-wise CloserTo,
+// BucketIndex and Prefix64 against the byte-wise Distance at every word
+// alignment, including identifiers that share long prefixes.
+func TestWordwiseMetricMatchesDistance(t *testing.T) {
+	r := rng(14)
+	for _, bits := range []int{8, 16, 40, 64, 72, 80, 128, 160, 200, 256} {
+		for i := 0; i < 500; i++ {
+			a, target := Random(bits, r), Random(bits, r)
+			// b agrees with a above a random bit, so the first
+			// differing word varies.
+			b := a.Distance(RandomInBucket(FromUint64(bits, 0), r.Intn(bits), r))
+			if r.Intn(4) == 0 {
+				target = a.Distance(RandomInBucket(FromUint64(bits, 0), r.Intn(bits), r))
+			}
+			da, db := a.Distance(target), b.Distance(target)
+			if got, want := a.CloserTo(target, b), da.Cmp(db) < 0; got != want {
+				t.Fatalf("bits %d: CloserTo = %v, want %v (%v vs %v)", bits, got, want, da, db)
+			}
+			if got, want := a.BucketIndex(b), a.Distance(b).BitLen()-1; got != want {
+				t.Fatalf("bits %d: BucketIndex = %d, want %d", bits, got, want)
+			}
+			pa, pb := a.Prefix64()^target.Prefix64(), b.Prefix64()^target.Prefix64()
+			if pa != pb && (pa < pb) != (da.Cmp(db) < 0) {
+				t.Fatalf("bits %d: prefix order %x vs %x disagrees with distance order", bits, pa, pb)
+			}
+		}
+	}
+}

@@ -31,6 +31,7 @@ const (
 
 type candidate struct {
 	contact Contact
+	key     uint64 // leading 64 bits of the distance to the target
 	state   candidateState
 }
 
@@ -39,16 +40,21 @@ type lookup struct {
 	target id.ID
 	kind   lookupKind
 
-	// candidates stays sorted ascending by XOR distance to target.
-	candidates []*candidate
-	seen       map[id.ID]bool
-	inflight   int
-	responded  int
-	finished   bool
+	// slab holds the candidates in discovery order and order indexes it
+	// ascending by XOR distance to target; an index stays valid as slab
+	// grows, a pointer would not.
+	slab      []candidate
+	order     []int32
+	targetKey uint64 // target.Prefix64()
+	inflight  int
+	responded int
+	finished  bool
 
 	// claim, when set, must approve every candidate before it joins this
 	// lookup; disjoint-path lookups share one claim set across paths so
-	// no two paths traverse the same node.
+	// no two paths traverse the same node. A rejected contact is offered
+	// again each time it is rediscovered, so claim must keep rejecting an
+	// ID it rejected once.
 	claim func(id.ID) bool
 
 	onComplete func(closest []Contact, responded int)
@@ -57,11 +63,13 @@ type lookup struct {
 
 func newLookup(n *Node, target id.ID, kind lookupKind, onValue func([]byte)) *lookup {
 	return &lookup{
-		node:    n,
-		target:  target,
-		kind:    kind,
-		seen:    map[id.ID]bool{n.self.ID: true},
-		onValue: onValue,
+		node:      n,
+		target:    target,
+		kind:      kind,
+		slab:      make([]candidate, 0, 2*n.cfg.K),
+		order:     make([]int32, 0, 2*n.cfg.K),
+		targetKey: target.Prefix64(),
+		onValue:   onValue,
 	}
 }
 
@@ -73,20 +81,30 @@ func (l *lookup) start() {
 }
 
 // addCandidate inserts a newly discovered contact in distance order.
+// Distances to the target are unique, so a contact already present sits
+// exactly at its insertion point.
 func (l *lookup) addCandidate(c Contact) {
-	if l.seen[c.ID] {
+	if c.ID.Equal(l.node.self.ID) {
 		return
 	}
-	l.seen[c.ID] = true
+	key := c.ID.Prefix64() ^ l.targetKey
+	idx := sort.Search(len(l.order), func(i int) bool {
+		o := &l.slab[l.order[i]]
+		if o.key != key {
+			return o.key > key
+		}
+		return !o.contact.ID.CloserTo(l.target, c.ID)
+	})
+	if idx < len(l.order) && l.slab[l.order[idx]].contact.ID.Equal(c.ID) {
+		return
+	}
 	if l.claim != nil && !l.claim(c.ID) {
 		return // another disjoint path owns this node
 	}
-	idx := sort.Search(len(l.candidates), func(i int) bool {
-		return !l.candidates[i].contact.ID.CloserTo(l.target, c.ID)
-	})
-	l.candidates = append(l.candidates, nil)
-	copy(l.candidates[idx+1:], l.candidates[idx:])
-	l.candidates[idx] = &candidate{contact: c, state: stateUnqueried}
+	l.slab = append(l.slab, candidate{contact: c, key: key, state: stateUnqueried})
+	l.order = append(l.order, 0)
+	copy(l.order[idx+1:], l.order[idx:])
+	l.order[idx] = int32(len(l.slab) - 1)
 }
 
 // step drives the state machine: fire queries up to the parallelism limit,
@@ -106,7 +124,7 @@ func (l *lookup) step() {
 	}
 	for l.inflight < cfg.Alpha {
 		next := l.nextUnqueried()
-		if next == nil {
+		if next < 0 {
 			break
 		}
 		l.query(next)
@@ -122,7 +140,8 @@ func (l *lookup) step() {
 func (l *lookup) converged() bool {
 	k := l.node.cfg.K
 	checked := 0
-	for _, c := range l.candidates {
+	for _, i := range l.order {
+		c := &l.slab[i]
 		if c.state == stateFailed {
 			continue
 		}
@@ -137,17 +156,19 @@ func (l *lookup) converged() bool {
 	return checked > 0
 }
 
-func (l *lookup) nextUnqueried() *candidate {
-	for _, c := range l.candidates {
-		if c.state == stateUnqueried {
-			return c
+// nextUnqueried returns the slab index of the closest unqueried
+// candidate, or -1.
+func (l *lookup) nextUnqueried() int32 {
+	for _, i := range l.order {
+		if l.slab[i].state == stateUnqueried {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
-func (l *lookup) query(c *candidate) {
-	c.state = stateInflight
+func (l *lookup) query(i int32) {
+	l.slab[i].state = stateInflight
 	l.inflight++
 	var req any
 	if l.kind == lookupValue {
@@ -155,14 +176,14 @@ func (l *lookup) query(c *candidate) {
 	} else {
 		req = findNodeRequest{Target: l.target}
 	}
-	l.node.sendRequest(c.contact, req, func(resp any, err error) {
+	l.node.sendRequest(l.slab[i].contact, req, func(resp any, err error) {
 		l.inflight--
 		if err != nil {
-			c.state = stateFailed
+			l.slab[i].state = stateFailed
 			l.step()
 			return
 		}
-		c.state = stateResponded
+		l.slab[i].state = stateResponded
 		l.responded++
 		switch r := resp.(type) {
 		case findNodeResponse:
@@ -194,7 +215,8 @@ func (l *lookup) finish() {
 	}
 	l.finished = true
 	closest := make([]Contact, 0, l.node.cfg.K)
-	for _, c := range l.candidates {
+	for _, i := range l.order {
+		c := &l.slab[i]
 		if c.state != stateResponded {
 			continue
 		}

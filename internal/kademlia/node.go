@@ -232,6 +232,7 @@ func (n *Node) Get(key id.ID, done func(value []byte, ok bool)) {
 	}
 	n.stats.LookupsStarted++
 	l := newLookup(n, key, lookupValue, func(value []byte) {
+		n.stats.LookupsCompleted++
 		if done != nil {
 			done(value, true)
 		}
@@ -296,7 +297,8 @@ func (n *Node) handleRequest(env envelope) any {
 	case pingRequest:
 		return pingResponse{}
 	case findNodeRequest:
-		return findNodeResponse{Contacts: n.closestExcluding(req.Target, env.From.ID)}
+		// The requester knows itself already.
+		return findNodeResponse{Contacts: n.table.closest(req.Target, n.cfg.K, env.From.ID)}
 	case storeRequest:
 		n.storage[req.Key] = append([]byte(nil), req.Value...)
 		return storeResponse{}
@@ -304,27 +306,10 @@ func (n *Node) handleRequest(env envelope) any {
 		if v, ok := n.storage[req.Key]; ok {
 			return findValueResponse{Found: true, Value: append([]byte(nil), v...)}
 		}
-		return findValueResponse{Contacts: n.closestExcluding(req.Key, env.From.ID)}
+		return findValueResponse{Contacts: n.table.closest(req.Key, n.cfg.K, env.From.ID)}
 	default:
 		return nil
 	}
-}
-
-// closestExcluding returns the k closest contacts to target, omitting the
-// requester (it knows itself already).
-func (n *Node) closestExcluding(target id.ID, requester id.ID) []Contact {
-	all := n.table.Closest(target, n.cfg.K+1)
-	out := make([]Contact, 0, len(all))
-	for _, c := range all {
-		if c.ID.Equal(requester) {
-			continue
-		}
-		out = append(out, c)
-		if len(out) == n.cfg.K {
-			break
-		}
-	}
-	return out
 }
 
 func (n *Node) respond(req envelope, payload any) {
@@ -361,7 +346,7 @@ func (n *Node) sendRequest(to Contact, payload any, done func(resp any, err erro
 		}
 		delete(n.pending, rpcID)
 		n.stats.Timeouts++
-		if n.table.RecordFailure(to.ID) {
+		if n.table.RecordFailure(p.to.ID) {
 			n.stats.Evictions++
 		}
 		if p.done != nil {

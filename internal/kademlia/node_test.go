@@ -118,6 +118,29 @@ func TestStoreAndGet(t *testing.T) {
 	}
 }
 
+// TestGetHitCountsCompletion: a FIND_VALUE lookup that finds the value
+// completes, so it must be counted like one that does not.
+func TestGetHitCountsCompletion(t *testing.T) {
+	c := newCluster(t, smallConfig(), 25, 3)
+	key := id.FromUint64(64, 0xDEADBEEF)
+	c.nodes[2].Store(key, []byte("v"), nil)
+	c.sim.RunUntil(c.sim.Now() + time.Minute)
+	getter := c.nodes[19]
+	before := getter.Stats()
+	var found bool
+	getter.Get(key, func(_ []byte, ok bool) { found = ok })
+	c.sim.RunUntil(c.sim.Now() + time.Minute)
+	if !found {
+		t.Fatal("get missed a stored value")
+	}
+	after := getter.Stats()
+	started := after.LookupsStarted - before.LookupsStarted
+	completed := after.LookupsCompleted - before.LookupsCompleted
+	if started != 1 || completed != started {
+		t.Fatalf("get hit: %d lookups started, %d completed; want 1 and 1", started, completed)
+	}
+}
+
 func TestGetMissingKey(t *testing.T) {
 	c := newCluster(t, smallConfig(), 10, 4)
 	var ok, done bool

@@ -2,7 +2,7 @@ package kademlia
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"kadre/internal/id"
 	"kadre/internal/simnet"
@@ -31,15 +31,16 @@ type entry struct {
 }
 
 // bucket is one k-bucket: entries in least-recently-seen-first order plus
-// a bounded replacement cache of contacts that arrived while full.
+// a bounded replacement cache of contacts that arrived while full. Entries
+// are stored by value so that scanning a bucket reads one contiguous array.
 type bucket struct {
-	entries      []*entry
+	entries      []entry
 	replacements []Contact // oldest first; newest appended at the end
 }
 
 func (b *bucket) find(nodeID id.ID) int {
-	for i, e := range b.entries {
-		if e.contact.ID.Equal(nodeID) {
+	for i := range b.entries {
+		if b.entries[i].contact.ID.Equal(nodeID) {
 			return i
 		}
 	}
@@ -49,12 +50,21 @@ func (b *bucket) find(nodeID id.ID) int {
 // findStale returns the index of the first entry with fails >= limit that
 // has no ping outstanding, or -1.
 func (b *bucket) findStale(limit int) int {
-	for i, e := range b.entries {
-		if e.fails >= limit && !e.pingInFlight {
+	for i := range b.entries {
+		if e := &b.entries[i]; e.fails >= limit && !e.pingInFlight {
 			return i
 		}
 	}
 	return -1
+}
+
+// moveToBack makes entry i the most recently seen and returns it.
+func (b *bucket) moveToBack(i int) *entry {
+	e := b.entries[i]
+	last := len(b.entries) - 1
+	copy(b.entries[i:], b.entries[i+1:])
+	b.entries[last] = e
+	return &b.entries[last]
 }
 
 func (b *bucket) removeReplacement(nodeID id.ID) {
@@ -74,6 +84,20 @@ type RoutingTable struct {
 	cfg     Config
 	buckets []*bucket
 	size    int
+
+	// occupied has bit i%64 of word i/64 set while bucket i is non-empty,
+	// so Closest skips empty buckets without touching them.
+	occupied [id.MaxBits / 64]uint64
+	// picks is Closest's selection scratch, reused across calls.
+	picks []pick
+}
+
+// pick is a selection candidate: entry e of bucket b, ranked by key, the
+// leading 64 bits of its XOR distance to the target. It holds no pointer,
+// so shifting picks needs no write barriers.
+type pick struct {
+	key  uint64
+	b, e int32
 }
 
 // NewRoutingTable builds an empty table for the given owner.
@@ -123,25 +147,30 @@ func (rt *RoutingTable) Observe(c Contact) ObserveResult {
 	if c.ID.Equal(rt.self) || c.ID.IsZeroValue() {
 		return ObserveResult{}
 	}
-	b := rt.bucketFor(c.ID)
+	bi := rt.self.BucketIndex(c.ID)
+	b := rt.buckets[bi]
 	if i := b.find(c.ID); i >= 0 {
-		e := b.entries[i]
+		e := b.moveToBack(i)
 		e.fails = 0
 		e.contact = c // refresh address
-		b.entries = append(b.entries[:i], b.entries[i+1:]...)
-		b.entries = append(b.entries, e)
 		return ObserveResult{Inserted: true}
 	}
 	if len(b.entries) < rt.cfg.K {
-		b.entries = append(b.entries, &entry{contact: c})
+		if len(b.entries) == cap(b.entries) {
+			// Double, but never past k: a bucket holds no more.
+			grown := make([]entry, len(b.entries), min(max(2*cap(b.entries), 1), rt.cfg.K))
+			copy(grown, b.entries)
+			b.entries = grown
+		}
+		b.entries = append(b.entries, entry{contact: c})
 		rt.size++
+		rt.occupied[bi/64] |= 1 << (bi % 64)
 		return ObserveResult{Inserted: true}
 	}
 	// Bucket full: a stale entry (>= s consecutive failures) is replaced
 	// outright by the newcomer we just heard from.
 	if i := b.findStale(rt.cfg.StalenessLimit); i >= 0 {
-		b.entries = append(b.entries[:i], b.entries[i+1:]...)
-		b.entries = append(b.entries, &entry{contact: c})
+		*b.moveToBack(i) = entry{contact: c}
 		return ObserveResult{Inserted: true}
 	}
 	// Otherwise stash in the replacement cache (dropping the oldest
@@ -152,7 +181,7 @@ func (rt *RoutingTable) Observe(c Contact) ObserveResult {
 	if len(b.replacements) > rt.cfg.ReplacementCacheSize {
 		b.replacements = b.replacements[1:]
 	}
-	lrs := b.entries[0]
+	lrs := &b.entries[0]
 	if lrs.pingInFlight {
 		return ObserveResult{}
 	}
@@ -172,11 +201,9 @@ func (rt *RoutingTable) RecordSuccess(nodeID id.ID) {
 	if i < 0 {
 		return
 	}
-	e := b.entries[i]
+	e := b.moveToBack(i)
 	e.fails = 0
 	e.pingInFlight = false
-	b.entries = append(b.entries[:i], b.entries[i+1:]...)
-	b.entries = append(b.entries, e)
 }
 
 // RecordFailure charges one failed communication attempt against a
@@ -203,7 +230,7 @@ func (rt *RoutingTable) RecordFailure(nodeID id.ID) bool {
 	if i < 0 {
 		return false
 	}
-	e := b.entries[i]
+	e := &b.entries[i]
 	e.pingInFlight = false
 	if e.fails < rt.cfg.StalenessLimit {
 		e.fails++ // cap the counter at s; staleness is already decided
@@ -217,8 +244,7 @@ func (rt *RoutingTable) RecordFailure(nodeID id.ID) bool {
 	}
 	promoted := b.replacements[n-1]
 	b.replacements = b.replacements[:n-1]
-	b.entries = append(b.entries[:i], b.entries[i+1:]...)
-	b.entries = append(b.entries, &entry{contact: promoted})
+	*b.moveToBack(i) = entry{contact: promoted}
 	return true
 }
 
@@ -237,8 +263,8 @@ func (rt *RoutingTable) IsStale(nodeID id.ID) bool {
 func (rt *RoutingTable) StaleCount() int {
 	count := 0
 	for _, b := range rt.buckets {
-		for _, e := range b.entries {
-			if e.fails >= rt.cfg.StalenessLimit {
+		for i := range b.entries {
+			if b.entries[i].fails >= rt.cfg.StalenessLimit {
 				count++
 			}
 		}
@@ -252,35 +278,133 @@ func (rt *RoutingTable) Remove(nodeID id.ID) bool {
 	if nodeID.Equal(rt.self) {
 		return false
 	}
-	b := rt.bucketFor(nodeID)
+	bi := rt.self.BucketIndex(nodeID)
+	b := rt.buckets[bi]
 	i := b.find(nodeID)
 	if i < 0 {
 		return false
 	}
 	b.entries = append(b.entries[:i], b.entries[i+1:]...)
 	rt.size--
+	if len(b.entries) == 0 {
+		rt.occupied[bi/64] &^= 1 << (bi % 64)
+	}
 	return true
 }
 
 // Closest returns up to count live contacts closest to target under the
 // XOR metric, ascending by distance.
+//
+// It selects by walking buckets in distance order instead of sorting the
+// whole table. With j = self.BucketIndex(target), bucket j holds every
+// contact closer to target than 2^j; all buckets below j share top
+// distance bit j; each higher bucket i > j has top distance bit i. So the
+// groups "bucket j", "buckets 0..j-1", "bucket j+1", ..., are ordered
+// (target == self makes j = -1: bucket 0, 1, ... in turn), and the walk
+// stops at the first group boundary where count contacts are held; it
+// visits only non-empty buckets, found through an occupancy bitmap. Within
+// a group, contacts go into a bounded sorted array by the first 64-bit
+// word of their distance, with a full CloserTo on equal words. XOR
+// distances to one target are unique, so this yields exactly the order of
+// a full sort of Contacts. The returned slice is freshly allocated and
+// is the only allocation.
 func (rt *RoutingTable) Closest(target id.ID, count int) []Contact {
-	all := rt.Contacts()
-	sort.Slice(all, func(i, j int) bool {
-		return all[i].ID.CloserTo(target, all[j].ID)
-	})
-	if len(all) > count {
-		all = all[:count]
+	return rt.closest(target, count, id.ID{})
+}
+
+// closest is Closest leaving out the contact skip (a requester, which
+// knows itself already); the zero ID skips nothing.
+func (rt *RoutingTable) closest(target id.ID, count int, skip id.ID) []Contact {
+	if count <= 0 {
+		return []Contact{}
 	}
-	return all
+	picks := rt.picks[:0]
+	tp := target.Prefix64()
+	skipKey := skip.Prefix64() ^ tp
+	add := func(b int) {
+		entries := rt.buckets[b].entries
+		for i := range entries {
+			c := &entries[i].contact
+			p := pick{key: c.ID.Prefix64() ^ tp, b: int32(b), e: int32(i)}
+			n := len(picks)
+			if n == count && !rt.closer(p, picks[n-1], &target) {
+				continue
+			}
+			if p.key == skipKey && c.ID.Equal(skip) {
+				continue
+			}
+			if n < count {
+				picks = append(picks, p)
+			} else {
+				n-- // the farthest pick drops out
+			}
+			for n > 0 && rt.closer(p, picks[n-1], &target) {
+				picks[n] = picks[n-1]
+				n--
+			}
+			picks[n] = p
+		}
+	}
+	j := rt.self.BucketIndex(target)
+	if j >= 0 {
+		add(j)
+		if len(picks) < count {
+			// Buckets below j are one group: none is ordered before
+			// another, so the walk cannot stop inside it.
+			for i := rt.nextOccupied(0); i < j; i = rt.nextOccupied(i + 1) {
+				add(i)
+			}
+		}
+	}
+	for i := rt.nextOccupied(j + 1); i < len(rt.buckets) && len(picks) < count; i = rt.nextOccupied(i + 1) {
+		add(i)
+	}
+	out := make([]Contact, len(picks))
+	for i, p := range picks {
+		out[i] = *rt.contact(p)
+	}
+	rt.picks = picks
+	return out
+}
+
+// nextOccupied returns the lowest non-empty bucket index >= i, or
+// len(rt.buckets) when there is none.
+func (rt *RoutingTable) nextOccupied(i int) int {
+	for w := i / 64; w < len(rt.occupied); w++ {
+		m := rt.occupied[w]
+		if w == i/64 {
+			m &= ^uint64(0) << (i % 64)
+		}
+		if m != 0 {
+			return w*64 + bits.TrailingZeros64(m)
+		}
+	}
+	return len(rt.buckets)
+}
+
+func (rt *RoutingTable) contact(p pick) *Contact {
+	return &rt.buckets[p.b].entries[p.e].contact
+}
+
+// closer reports whether pick p is strictly closer to target than q. It
+// stays small enough to inline; equal keys, which are rare, take a call.
+func (rt *RoutingTable) closer(p, q pick, target *id.ID) bool {
+	if p.key != q.key {
+		return p.key < q.key
+	}
+	return rt.closerTie(p, q, target)
+}
+
+func (rt *RoutingTable) closerTie(p, q pick, target *id.ID) bool {
+	return rt.contact(p).ID.CloserTo(*target, rt.contact(q).ID)
 }
 
 // Contacts returns every live contact, bucket by bucket.
 func (rt *RoutingTable) Contacts() []Contact {
 	out := make([]Contact, 0, rt.size)
 	for _, b := range rt.buckets {
-		for _, e := range b.entries {
-			out = append(out, e.contact)
+		for i := range b.entries {
+			out = append(out, b.entries[i].contact)
 		}
 	}
 	return out
